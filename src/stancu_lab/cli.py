@@ -23,6 +23,7 @@ import numpy as np
 from .bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
+    NOISE_FLOOR,
     RatioFamily,
     corollary2_bound,
     operator_distance,
@@ -30,7 +31,7 @@ from .bounds import (
     theorem4_experiment,
 )
 from .figures import FIGURES, NODE_HEADER, build_figure, fmt, node_rows, with_overrides
-from .nodes import check_theorem1, check_theorem2, check_theorem3
+from .nodes import DIST_CUSHION, GAP_CUSHION, check_theorem1, check_theorem2, check_theorem3
 from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, apply_operator
 
 __all__ = ["main"]
@@ -78,6 +79,8 @@ def cmd_eval(args) -> int:
     plain = StancuParams(args.n, 0.0, 0.0)
     if args.x is not None:
         xs = [float(args.x)]
+    elif args.grid < 2:
+        raise ValueError("--grid must be an integer >= 2")
     else:
         xs = np.linspace(0.0, 1.0, args.grid).tolist()
     lines = ["x,f,bernstein,stancu"]
@@ -112,7 +115,7 @@ def _check_t1(args) -> int:
         lines.append(f"{n},{fmt(g)},{fmt(b)}")
     _emit(lines, args.out)
     if not report.within_bound:
-        bad = int(np.argmax(report.max_gaps > report.bounds + 1e-12))
+        bad = int(np.argmax(report.max_gaps > report.bounds + GAP_CUSHION))
         print(f"t1: FAIL at n={report.degrees[bad]}: max_gap exceeds bound", file=sys.stderr)
         return 1
     if not report.bounds_decreasing:
@@ -130,7 +133,7 @@ def _check_t2(args) -> int:
     lines = [NODE_HEADER] + [",".join(row) for row in node_rows(p)]
     _emit(lines, args.out)
     if not report.ok:
-        bad = report.stancu_dist > report.bernstein_dist + 1e-15
+        bad = report.stancu_dist > report.bernstein_dist + DIST_CUSHION
         k = int(np.argmax(bad)) if bad.any() else 0
         print(f"t2: FAIL at k={k}", file=sys.stderr)
         return 1
@@ -177,7 +180,7 @@ def _check_t4(args) -> int:
         lines.append(f"{j},{fmt(a)},{fmt(b)},{fmt(d)},{fmt(bd)}")
     _emit(lines, args.out)
     if not report.within_bound:
-        bad = int(np.argmax(report.distances > report.bounds + 1e-12))
+        bad = int(np.argmax(report.distances > report.bounds + NOISE_FLOOR))
         print(f"t4: FAIL at level {bad}: distance exceeds its bound", file=sys.stderr)
         return 1
     if args.epsilon is not None and not report.final_distance < args.epsilon:

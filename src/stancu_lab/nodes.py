@@ -42,10 +42,13 @@ __all__ = [
 # float fuzz of non-representable ratios like 4.7/10.
 CROSSING_TOL = 1e-12
 
-# 1-ulp cushion for bound comparisons: with alpha = 0 the largest gap is
-# mathematically EQUAL to the bound and two float evaluations of the same
+# 1-ulp cushion for the t1 bound comparison: with alpha = 0 the largest gap
+# is mathematically EQUAL to the bound and two float evaluations of the same
 # real can land either side of each other.
-_FLOAT_CUSHION = 1e-12
+GAP_CUSHION = 1e-12
+
+# t2 cushion: a node at m has both distances 0, each a few ulps off in float
+DIST_CUSHION = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +116,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     a, b = p.alpha, p.beta
     max_gaps = np.array([np.abs(_gaps(StancuParams(n, a, b))).max() for n in degrees])
     bounds = np.array([(a + b) / (n + b) for n in degrees])
-    within = bool((max_gaps <= bounds + _FLOAT_CUSHION).all())
+    within = bool((max_gaps <= bounds + GAP_CUSHION).all())
     if a + b == 0.0:
         decreasing = bool((bounds == 0.0).all())
     else:
@@ -168,7 +171,7 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
     bern_dist = np.abs(plain - m)
     stan_dist = np.abs(shifted - m)
     identity_error = float(np.abs((shifted - m) - contraction * (plain - m)).max())
-    inequality = bool((stan_dist <= bern_dist + 1e-15).all())
+    inequality = bool((stan_dist <= bern_dist + DIST_CUSHION).all())
     off = bern_dist > CROSSING_TOL
     above = off & (plain > m)
     below = off & (plain < m)

@@ -16,7 +16,7 @@ supported degree range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class FunctionSpec:
     name: str
     kind: str
     samples: tuple[tuple[float, float], ...] | None = None
+    # read-only (abscissae, values) rows built once from samples
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "builtin":
@@ -78,14 +80,16 @@ class FunctionSpec:
         elif self.kind == "tabulated":
             if self.samples is None or len(self.samples) < 2:
                 raise ValueError("tabulated functions need at least 2 samples")
-            xs = np.array([s[0] for s in self.samples], dtype=float)
-            ys = np.array([s[1] for s in self.samples], dtype=float)
+            table = np.array(self.samples, dtype=float).T.copy()
+            table.setflags(write=False)
+            xs, ys = table
             if not np.isfinite(xs).all() or not np.isfinite(ys).all():
                 raise ValueError("samples must be finite")
             if xs[0] != 0.0 or xs[-1] != 1.0:
                 raise ValueError("sample abscissae must start at 0 and end at 1")
             if not (np.diff(xs) > 0.0).all():
                 raise ValueError("sample abscissae must be strictly increasing")
+            object.__setattr__(self, "_table", table)
         else:
             raise ValueError(f"kind must be 'builtin' or 'tabulated', got {self.kind!r}")
 
@@ -104,9 +108,7 @@ class FunctionSpec:
         if self.kind == "builtin":
             out = _BUILTIN_EVAL[self.name](arr)
         else:
-            xs = np.array([s[0] for s in self.samples], dtype=float)
-            ys = np.array([s[1] for s in self.samples], dtype=float)
-            out = np.interp(arr, xs, ys)
+            out = np.interp(arr, *self._table)
         if arr.ndim == 0:
             return float(out)
         return out

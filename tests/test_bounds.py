@@ -53,6 +53,12 @@ E1 = FunctionSpec.builtin("e1")
 E2 = FunctionSpec.builtin("e2")
 SIN15 = FunctionSpec.builtin("sin15")
 ABSHALF = FunctionSpec.builtin("abshalf")
+# a tabulated f: a seeded random walk on 65 knots, kinked at every knot
+WALK = FunctionSpec.tabulated(
+    "walk",
+    np.linspace(0.0, 1.0, 65),
+    np.concatenate(([0.0], np.cumsum(np.random.default_rng(11).normal(0.0, 0.125, 64)))),
+)
 
 
 def offset_scan_modulus(f, delta, grid_size):
@@ -84,11 +90,18 @@ def test_modulus_sin15_against_frozen_oracle():
     assert got == pytest.approx(OMEGA_SIN15_001, abs=1e-6)
 
 
-@pytest.mark.parametrize("fname", ["e1", "e2", "sin15", "abshalf"])
-@pytest.mark.parametrize("delta", [0.003, 0.11, 0.5, 2.0])
+@pytest.mark.parametrize("fname", ["e1", "e2", "sin15", "abshalf", "walk"])
+@pytest.mark.parametrize(
+    "delta",
+    [0.003, 0.11, 0.5, 2.0, 1.0]
+    # windows of exactly L grid points: powers of two (full doublings only)
+    # and one past them (a last step of one)
+    + [pytest.param((L - 0.5) / 2000, id=f"L{L}") for L in (2, 3, 4, 5, 8, 9, 1024, 1025)],
+)
 def test_modulus_equals_offset_scan(fname, delta):
-    # dual route on the same grid: deque scan and offset scan must agree exactly
-    f = FunctionSpec.builtin(fname)
+    # dual route on the same grid: doubled window max/min and offset scan
+    # must agree exactly
+    f = WALK if fname == "walk" else FunctionSpec.builtin(fname)
     cfg = BoundConfig(mod_grid_size=2001)
     assert modulus_of_continuity(f, delta, cfg) == offset_scan_modulus(f, delta, 2001)
 

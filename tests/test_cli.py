@@ -1,11 +1,14 @@
 """CLI surface tests: schemas, exit codes, determinism, env override."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stancu_lab
 from stancu_lab.cli import main
 
 
@@ -13,6 +16,16 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m stancu_lab`` in a child that imports this same package copy."""
+    src = str(Path(stancu_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "stancu_lab", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def csv_rows(out):
@@ -47,6 +60,14 @@ def test_eval_grid_mode(capsys):
     _, rows = csv_rows(out)
     assert len(rows) == 11
     assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 1.0
+
+
+def test_eval_rejects_grid_below_two(capsys):
+    for grid in ("0", "1", "-3"):
+        rc, out, err = run(capsys, "eval", "--n", "5", "--grid", grid)
+        assert rc == 2
+        assert out == ""
+        assert "--grid" in err
 
 
 def test_eval_rejects_swapped_shifts(capsys):
@@ -151,10 +172,10 @@ def test_check_t4_bound_and_epsilon(capsys):
 
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     import stancu_lab.cli as cli
-    from stancu_lab import Theorem4Report
+    from stancu_lab import ClusterReport, StancuParams, Theorem1Report, Theorem4Report
 
-    # level 0 overshoots by less than the 1e-12 floor of within_bound, level 1
-    # by more: only level 1 fails
+    # in each check, entry 0 overshoots by less than the noise floor of the
+    # report's own verdict, entry 1 by more: only entry 1 is named
     fake = Theorem4Report(
         ratio_m=0.5, f_at_m=0.0, levels=((1.0, 2.0), (10.0, 20.0)),
         distances=np.array([1.0 + 5e-13, 2.0]), bounds=np.array([1.0, 1.0]),
@@ -165,6 +186,26 @@ def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
                      "--alpha", "1", "--beta", "2", "--scales", "1,10")
     assert rc == 1
     assert "FAIL at level 1" in err
+
+    fake1 = Theorem1Report(
+        alpha=1.0, beta=2.0, degrees=(10, 20), max_gaps=np.array([1.0 + 5e-13, 2.0]),
+        bounds=np.array([1.0, 1.0]), within_bound=False, bounds_decreasing=True,
+    )
+    monkeypatch.setattr(cli, "check_theorem1", lambda *a, **k: fake1)
+    rc, _, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
+    assert rc == 1
+    assert "FAIL at n=20" in err
+
+    fake2 = ClusterReport(
+        params=StancuParams(10, 1.0, 2.0), ratio_m=0.5, bernstein_dist=np.array([0.5, 0.5]),
+        stancu_dist=np.array([0.5 + 5e-16, 0.75]), max_gap=0.0, crossing_indices=(),
+        contraction=10.0 / 12.0, identity_error=0.0, inequality_holds=False,
+        sign_pattern_holds=True,
+    )
+    monkeypatch.setattr(cli, "check_theorem2", lambda *a, **k: fake2)
+    rc, _, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
+    assert rc == 1
+    assert "FAIL at k=1" in err
 
 
 # --------------------------------------------------------------- figure
@@ -308,18 +349,11 @@ def test_env_grid_malformed_rejected(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stancu_lab", "eval", "--function", "e0",
-         "--n", "5", "--x", "0.5"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("eval", "--function", "e0", "--n", "5", "--x", "0.5")
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,f,bernstein,stancu")
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stancu_lab", "frobnicate"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("frobnicate")
     assert proc.returncode == 2
