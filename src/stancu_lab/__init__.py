@@ -8,7 +8,6 @@ from .bounds import (
     RatioFamily,
     Theorem4Report,
     corollary2_bound,
-    derive_c,
     grid_slack,
     modulus_of_continuity,
     operator_distance,
@@ -17,14 +16,11 @@ from .bounds import (
 )
 from .nodes import (
     ClusterReport,
-    NodeSet,
     Theorem1Report,
     Theorem3Report,
     check_theorem1,
     check_theorem2,
     check_theorem3,
-    node_gap,
-    stancu_nodes,
 )
 from .operators import (
     BUILTIN_FUNCTIONS,
@@ -34,7 +30,7 @@ from .operators import (
     apply_operator,
     apply_operator_curve,
     basis_row,
-    bernstein_basis,
+    evaluate,
     moment_closed_form,
 )
 
@@ -46,7 +42,6 @@ __all__ = [
     "ClusterReport",
     "DEFAULT_CONFIG",
     "FunctionSpec",
-    "NodeSet",
     "RatioFamily",
     "SampledCurve",
     "StancuParams",
@@ -56,18 +51,15 @@ __all__ = [
     "apply_operator",
     "apply_operator_curve",
     "basis_row",
-    "bernstein_basis",
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
     "corollary2_bound",
-    "derive_c",
+    "evaluate",
     "grid_slack",
     "modulus_of_continuity",
     "moment_closed_form",
-    "node_gap",
     "operator_distance",
-    "stancu_nodes",
     "sup_error",
     "theorem4_experiment",
 ]

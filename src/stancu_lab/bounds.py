@@ -34,7 +34,6 @@ __all__ = [
     "RatioFamily",
     "Theorem4Report",
     "corollary2_bound",
-    "derive_c",
     "modulus_of_continuity",
     "operator_distance",
     "sup_error",
@@ -133,19 +132,6 @@ def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAUL
     term1 = modulus_of_continuity(f, shift, cfg) if shift > 0.0 else 0.0
     term2 = cfg.c1 * modulus_of_continuity(f, p.n ** -0.5, cfg)
     return term1 + term2
-
-
-def derive_c(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
-    """Smallest c with two-term bound <= c * omega(f; n**-0.5) for these inputs.
-
-    The 0/0 case of a constant function is defined as 0; a vanishing
-    modulus under a nonzero bound reports math.inf (unbounded).
-    """
-    denom = modulus_of_continuity(f, p.n ** -0.5, cfg)
-    num = corollary2_bound(f, p, cfg)
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / denom
 
 
 @dataclass(frozen=True)

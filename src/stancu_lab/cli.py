@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .figures import FIGURES, NODE_HEADER, build_figure, fmt, node_rows, with_overrides
 from .nodes import DIST_CUSHION, GAP_CUSHION, check_theorem1, check_theorem2, check_theorem3
-from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, apply_operator
+from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, evaluate
 
 __all__ = ["main"]
 
@@ -78,19 +78,13 @@ def cmd_eval(args) -> int:
     p = StancuParams(args.n, args.alpha, args.beta)
     plain = StancuParams(args.n, 0.0, 0.0)
     if args.x is not None:
-        xs = [float(args.x)]
+        xs = np.array([float(args.x)])
     elif args.grid < 2:
         raise ValueError("--grid must be an integer >= 2")
     else:
-        xs = np.linspace(0.0, 1.0, args.grid).tolist()
-    lines = ["x,f,bernstein,stancu"]
-    for x in xs:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (x, f(x), apply_operator(f, plain, x), apply_operator(f, p, x))
-            )
-        )
+        xs = np.linspace(0.0, 1.0, args.grid)
+    cols = (xs, f(xs), evaluate(f, plain, xs), evaluate(f, p, xs))
+    lines = ["x,f,bernstein,stancu"] + [",".join(fmt(v) for v in row) for row in zip(*cols)]
     _emit(lines, args.out)
     return 0
 
@@ -145,19 +139,19 @@ def _check_t2(args) -> int:
 def _check_t3(args) -> int:
     if args.n is None or len(args.pair or []) < 2:
         raise ValueError("t3 needs --n and at least two --pair alpha,beta")
-    pairs = [_parse_pair(raw) for raw in args.pair]
-    params = [StancuParams(args.n, a, b) for a, b in pairs]
-    lines = ["k," + ",".join(f"node_{i},dist_{i}" for i in range(len(pairs)))]
-    node_cols = [(np.arange(args.n + 1) + a) / (args.n + b) for a, b in pairs]
-    m = pairs[0][0] / pairs[0][1]
+    params = [StancuParams(args.n, *_parse_pair(raw)) for raw in args.pair]
+    # every pair is validated before anything is written
+    reports = [check_theorem3(p1, p2) for p1, p2 in zip(params, params[1:])]
+    m = reports[0].ratio_m
+    lines = ["k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))]
+    node_cols = [q.node_values() for q in params]
     for k in range(args.n + 1):
         cells = [str(k)]
         for col in node_cols:
             cells += [fmt(col[k]), fmt(abs(col[k] - m))]
         lines.append(",".join(cells))
     _emit(lines, args.out)
-    for p1, p2 in zip(params, params[1:]):
-        report = check_theorem3(p1, p2)
+    for p1, p2, report in zip(params, params[1:], reports):
         if not report.ok:
             print(
                 f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta})",
@@ -203,10 +197,11 @@ def cmd_figure(args) -> int:
     if job is None:
         raise ValueError(f"unknown figure {args.figure_id!r}; choose f1..f10")
     job = with_overrides(job, n=args.n, grid_size=args.grid, alpha=args.alpha, beta=args.beta)
+    # build first: invalid overrides raise before the output directory exists
+    csv_text, svg_text = build_figure(job)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_text, svg_text = build_figure(job)
         csv_path = out_dir / f"{job.figure_id}.csv"
         svg_path = out_dir / f"{job.figure_id}.svg"
         csv_path.write_text(csv_text, encoding="utf-8", newline="\n")

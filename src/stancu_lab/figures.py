@@ -64,6 +64,8 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
     if n is not None:
         job = replace(job, n=int(n))
     if grid_size is not None:
+        if job.kind == "nodes":
+            raise ValueError(f"{job.figure_id} is a node figure; --grid does not apply")
         job = replace(job, grid_size=int(grid_size))
     if alpha is not None or beta is not None:
         if len(job.pairs) != 1:
@@ -96,15 +98,14 @@ def node_rows(p: StancuParams) -> list[list[str]]:
     The distance columns are empty when beta = 0 (the ratio alpha/beta is
     undefined there).
     """
-    ks = np.arange(p.n + 1)
-    plain = ks / p.n
-    shifted = (ks + p.alpha) / (p.n + p.beta)
+    plain = StancuParams(p.n).node_values()
+    shifted = p.node_values()
     gap = shifted - plain
     rows = []
     has_m = p.beta > 0.0
     m = p.alpha / p.beta if has_m else None
-    for k in ks:
-        row = [str(int(k)), fmt(plain[k]), fmt(shifted[k]), fmt(gap[k])]
+    for k in range(p.n + 1):
+        row = [str(k), fmt(plain[k]), fmt(shifted[k]), fmt(gap[k])]
         if has_m:
             row += [fmt(abs(plain[k] - m)), fmt(abs(shifted[k] - m))]
         else:

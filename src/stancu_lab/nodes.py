@@ -28,14 +28,11 @@ from .operators import StancuParams
 
 __all__ = [
     "ClusterReport",
-    "NodeSet",
     "Theorem1Report",
     "Theorem3Report",
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
-    "node_gap",
-    "stancu_nodes",
 ]
 
 # |k/n - m| at or below this is treated as "the node sits at m"; covers the
@@ -51,36 +48,9 @@ GAP_CUSHION = 1e-12
 DIST_CUSHION = 1e-15
 
 
-@dataclass(frozen=True, eq=False)
-class NodeSet:
-    """The n+1 sample points of one operator, with their common spacing."""
-
-    params: StancuParams
-    nodes: np.ndarray
-    spacing_h: float
-
-
-def stancu_nodes(p: StancuParams) -> NodeSet:
-    """Node set (k + alpha)/(n + beta), k = 0..n; alpha = beta = 0 gives k/n."""
-    nodes = p.node_values()
-    nodes.setflags(write=False)
-    return NodeSet(params=p, nodes=nodes, spacing_h=1.0 / (p.n + p.beta))
-
-
-def node_gap(k: int, p: StancuParams) -> float:
-    """Displacement (k + alpha)/(n + beta) - k/n of one shifted node.
-
-    Algebraically equal to (n alpha - k beta)/(n (n + beta)); it vanishes
-    exactly where k/n meets alpha/beta.
-    """
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= p.n:
-        raise ValueError(f"k must be an integer in 0..{p.n}")
-    return (k + p.alpha) / (p.n + p.beta) - k / p.n
-
-
 def _gaps(p: StancuParams) -> np.ndarray:
-    ks = np.arange(p.n + 1)
-    return (ks + p.alpha) / (p.n + p.beta) - ks / p.n
+    """Displacement (k + alpha)/(n + beta) - k/n of every shifted node."""
+    return p.node_values() - StancuParams(p.n).node_values()
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +76,14 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     ``p`` supplies the shift parameters; its own degree is replaced by each
     entry of ``n_sequence`` in turn.
     """
-    degrees = tuple(int(n) for n in n_sequence)
+    a, b = p.alpha, p.beta
+    params = [StancuParams(n, a, b) for n in n_sequence]
+    degrees = tuple(int(q.n) for q in params)
     if len(degrees) == 0:
         raise ValueError("n_sequence must be non-empty")
-    if any(n < 1 for n in degrees):
-        raise ValueError("degrees must be >= 1")
-    if any(b <= a for a, b in zip(degrees, degrees[1:])):
+    if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
         raise ValueError("n_sequence must be strictly increasing")
-    a, b = p.alpha, p.beta
-    max_gaps = np.array([np.abs(_gaps(StancuParams(n, a, b))).max() for n in degrees])
+    max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
     bounds = np.array([(a + b) / (n + b) for n in degrees])
     within = bool((max_gaps <= bounds + GAP_CUSHION).all())
     if a + b == 0.0:
@@ -163,9 +132,8 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
         raise ValueError("beta must be positive: the ratio alpha/beta is undefined at 0")
     n, a, b = p.n, p.alpha, p.beta
     m = a / b
-    ks = np.arange(n + 1)
-    plain = ks / n
-    shifted = (ks + a) / (n + b)
+    plain = StancuParams(n).node_values()
+    shifted = p.node_values()
     gaps = shifted - plain
     contraction = n / (n + b)
     bern_dist = np.abs(plain - m)
@@ -179,7 +147,7 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
         ((m < shifted[above]) & (shifted[above] < plain[above])).all()
         and ((plain[below] < shifted[below]) & (shifted[below] < m)).all()
     )
-    crossings = tuple(int(k) for k in ks[np.abs(gaps) <= CROSSING_TOL])
+    crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
     return ClusterReport(
         params=p,
         ratio_m=m,
@@ -233,10 +201,9 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     if abs(m1 - m2) > 1e-12 * max(1.0, abs(m1)):
         raise ValueError(f"ratio mismatch: {m1!r} vs {m2!r}")
     m = m1
-    ks = np.arange(n + 1)
-    plain = ks / n
-    nodes1 = (ks + a1) / (n + b1)
-    nodes2 = (ks + a2) / (n + b2)
+    plain = StancuParams(n).node_values()
+    nodes1 = p1.node_values()
+    nodes2 = p2.node_values()
     dist1 = np.abs(nodes1 - m)
     dist2 = np.abs(nodes2 - m)
     factor = (n + b1) / (n + b2)

@@ -6,12 +6,14 @@ variant keeps the weights and shifts the sample points to
 (k + alpha)/(n + beta) for shift parameters 0 <= alpha <= beta; alpha =
 beta = 0 recovers the plain operator through the same code path.
 
-Everything in this module is a pure function of its arguments. Basis rows
-are produced by a forward ratio recurrence (no explicit binomial
-coefficients, so degrees in the hundreds stay exact to ~1e-13); rows for
-x > 1/2 are computed at 1 - x and reversed so the recurrence always starts
-from its well-conditioned end and (1 - x)**n never underflows for the
-supported degree range.
+Everything in this module is a pure function of its arguments. All
+evaluation goes through ``evaluate``: one forward ratio recurrence over k
+(no explicit binomial coefficients, so degrees in the hundreds stay exact
+to ~1e-13) that adds f(t_k) b_{n,k}(x) to a running sum as it goes, so
+the basis is never materialised and memory does not depend on n. Points
+x > 1/2 run the recurrence at 1 - x over the node values in reverse, so
+it always starts from its well-conditioned end and (1 - x)**n never
+underflows for the supported degree range.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = [
     "apply_operator",
     "apply_operator_curve",
     "basis_row",
-    "bernstein_basis",
+    "evaluate",
     "moment_closed_form",
 ]
 
@@ -158,72 +160,61 @@ class SampledCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @property
-    def step(self) -> float:
-        return 1.0 / (self.grid.size - 1)
 
+def _stream(values: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
+    """sum_k values[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
-def _basis_columns(n: int, xs: np.ndarray) -> np.ndarray:
-    """All basis values b_{n,k}(x) as an (n+1, len(xs)) array.
-
-    Forward ratio recurrence over k with explicit unit-vector branches at
-    x = 0 and x = 1 (the formula would hit 0**0 there). Interior points
-    are reflected to u = min(x, 1-x) so the seed (1-u)**n stays a normal
-    float; degrees large enough to underflow the seed are rejected rather
-    than silently returning zeros.
+    Forward ratio recurrence from the seed (1 - u)**n, accumulated in
+    ascending k; degrees large enough to underflow the seed are rejected
+    rather than silently returning zeros.
     """
-    out = np.zeros((n + 1, xs.size))
-    out[0, xs == 0.0] = 1.0
-    out[n, xs == 1.0] = 1.0
-    interior = (xs > 0.0) & (xs < 1.0)
-    if interior.any():
-        xi = xs[interior]
-        u = np.minimum(xi, 1.0 - xi)
-        seed = (1.0 - u) ** n
-        if float(seed.min()) < np.finfo(float).tiny:
-            raise ValueError(f"degree n={n} too large for float64 basis recurrence")
-        r = u / (1.0 - u)
-        vals = np.empty((n + 1, xi.size))
-        b = seed
-        vals[0] = b
-        for k in range(n):
-            b = b * r * ((n - k) / (k + 1.0))
-            vals[k + 1] = b
-        flip = xi > 0.5
-        vals[:, flip] = vals[::-1, flip]
-        out[:, interior] = vals
+    u = u.reshape((-1,) + (1,) * (values.ndim - 1))
+    b = (1.0 - u) ** n
+    if float(b.min()) < np.finfo(float).tiny:
+        raise ValueError(f"degree n={n} too large for float64 basis recurrence")
+    r = u / (1.0 - u)
+    acc = 0.0 + values[0] * b
+    # out-of-place: numpy's in-place operators with a Python scalar cost
+    # about twice as much per call on one-point arrays
+    for k in range(n):
+        b = b * r * ((n - k) / (k + 1.0))
+        acc = acc + values[k + 1] * b
+    return acc
+
+
+def evaluate(f, p: StancuParams, xs) -> np.ndarray:
+    """Operator values sum_k b_{n,k}(x) f(t_k) at every point x of xs.
+
+    ``f`` maps the node array t to values; an (n+1, ...) value array gives
+    results of shape (len(xs), ...). x = 0 and x = 1 return f(t_0) and
+    f(t_n) exactly (the recurrence would hit 0**0 there); points
+    x > 1/2 are reflected to 1 - x with the node values reversed.
+    """
+    xs = _as_unit_interval(xs).reshape(-1)
+    fn = np.asarray(f(p.node_values()), dtype=float)
+    out = np.empty(xs.shape + fn.shape[1:])
+    out[xs == 0.0] = fn[0]
+    out[xs == 1.0] = fn[-1]
+    left = (xs > 0.0) & (xs <= 0.5)
+    right = (xs > 0.5) & (xs < 1.0)
+    if left.any():
+        out[left] = _stream(fn, p.n, xs[left])
+    if right.any():
+        out[right] = _stream(fn[::-1], p.n, 1.0 - xs[right])
     return out
 
 
 def basis_row(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at one point; non-negative, sums to 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
-    arr = _as_unit_interval(float(x))
-    return _basis_columns(n, arr.reshape(1))[:, 0]
+    """All n+1 basis values at one point; non-negative, sums to 1.
 
-
-def bernstein_basis(n: int, k: int, x: float) -> float:
-    """The single basis value b_{n,k}(x) = C(n,k) x^k (1-x)^(n-k)."""
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
-        raise ValueError(f"k must be an integer in 0..{n}")
-    return float(basis_row(n, x)[k])
-
-
-def _operator_values(f: FunctionSpec, p: StancuParams, xs: np.ndarray) -> np.ndarray:
-    fn = np.asarray(f(p.node_values()), dtype=float)
-    cols = _basis_columns(p.n, xs)
-    acc = np.zeros(xs.size)
-    # fixed ascending-k accumulation keeps scalar and curve paths bit-identical
-    for k in range(p.n + 1):
-        acc = acc + fn[k] * cols[k]
-    return acc
+    Entry k is the operator image of the unit vector e_k at the nodes.
+    """
+    return evaluate(lambda t: np.eye(t.size), StancuParams(n), float(x))[0]
 
 
 def apply_operator(f: FunctionSpec, p: StancuParams, x: float) -> float:
     """Evaluate the operator: sum_k b_{n,k}(x) f((k + alpha)/(n + beta))."""
-    arr = _as_unit_interval(float(x))
-    return float(_operator_values(f, p, arr.reshape(1))[0])
+    return float(evaluate(f, p, float(x))[0])
 
 
 def apply_operator_curve(f: FunctionSpec, p: StancuParams, grid_size: int) -> SampledCurve:
@@ -231,7 +222,7 @@ def apply_operator_curve(f: FunctionSpec, p: StancuParams, grid_size: int) -> Sa
     if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
         raise ValueError("grid_size must be an integer >= 2")
     grid = np.linspace(0.0, 1.0, grid_size)
-    return SampledCurve(grid=grid, values=_operator_values(f, p, grid))
+    return SampledCurve(grid=grid, values=evaluate(f, p, grid))
 
 
 def moment_closed_form(i: int, p: StancuParams, x):

@@ -28,11 +28,11 @@ from hypothesis import strategies as st
 
 from stancu_lab import (
     BoundConfig,
+    DEFAULT_CONFIG,
     FunctionSpec,
     RatioFamily,
     StancuParams,
     corollary2_bound,
-    derive_c,
     grid_slack,
     modulus_of_continuity,
     operator_distance,
@@ -203,16 +203,24 @@ def test_two_term_bound_dominates_sup_error():
                 assert sup_error(f, p) <= corollary2_bound(f, p) + 1e-9
 
 
+def implied_c(f, p, cfg=DEFAULT_CONFIG):
+    """Smallest c with two-term bound <= c * omega(f; n**-0.5)."""
+    return corollary2_bound(f, p, cfg) / modulus_of_continuity(f, p.n ** -0.5, cfg)
+
+
 def test_derive_c_values():
-    assert derive_c(E0, StancuParams(100, 20.0, 30.0)) == 0.0
+    # a constant f has a vanishing bound and modulus
+    p = StancuParams(100, 20.0, 30.0)
+    assert corollary2_bound(E0, p) == 0.0
+    assert modulus_of_continuity(E0, p.n ** -0.5) == 0.0
     cfg = BoundConfig(c1=1.09)
-    assert derive_c(E1, StancuParams(100, 20.0, 30.0), cfg) == pytest.approx(4.9362, abs=3e-3)
+    assert implied_c(E1, p, cfg) == pytest.approx(4.9362, abs=3e-3)
 
 
 def test_derive_c_nonincreasing_in_beta_when_alpha_dominates_degree():
     # for alpha >= n the first modulus saturates at the full oscillation,
     # so c cannot grow as beta does
-    vals = [derive_c(E1, StancuParams(100, 200.0, b)) for b in (200.0, 400.0, 800.0, 1600.0)]
+    vals = [implied_c(E1, StancuParams(100, 200.0, b)) for b in (200.0, 400.0, 800.0, 1600.0)]
     assert all(v2 <= v1 for v1, v2 in zip(vals, vals[1:]))
 
 

@@ -54,12 +54,17 @@ def test_eval_linear_balanced_point(capsys):
 
 
 def test_eval_grid_mode(capsys):
-    rc, out, _ = run(capsys, "eval", "--function", "sin15", "--n", "20",
-                     "--alpha", "2", "--beta", "5", "--grid", "11")
+    argv = ["eval", "--function", "sin15", "--n", "20", "--alpha", "2", "--beta", "5"]
+    rc, out, _ = run(capsys, *argv, "--grid", "11")
     assert rc == 0
     _, rows = csv_rows(out)
     assert len(rows) == 11
     assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 1.0
+    # each grid row is byte for byte the row of a single-point evaluation
+    for line in out.splitlines()[1:]:
+        rc, point_out, _ = run(capsys, *argv, "--x", line.split(",")[0])
+        assert rc == 0
+        assert point_out.splitlines()[1:] == [line]
 
 
 def test_eval_rejects_grid_below_two(capsys):
@@ -155,6 +160,17 @@ def test_check_t3_ratio_mismatch(capsys):
                      "--pair", "4.7,10", "--pair", "48,100")
     assert rc == 2
     assert "ratio" in err
+
+
+def test_check_t3_validates_every_pair_before_writing(capsys):
+    for pairs in (("0,0", "0,0"), ("4.7,10", "47,100", "48,100")):
+        argv = ["check", "t3", "--n", "10"]
+        for pair in pairs:
+            argv += ["--pair", pair]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_check_t4_bound_and_epsilon(capsys):
@@ -288,6 +304,23 @@ def test_figure_rejects_unknown_id(capsys):
 def test_figure_rejects_pair_override_on_multi(capsys, tmp_path):
     rc, _, err = run(capsys, "figure", "f9", "--alpha", "1", "--out", str(tmp_path))
     assert rc == 2
+
+
+def test_figure_rejects_grid_on_node_figures(capsys, tmp_path):
+    for fid in ("f3", "f4", "f5", "f9"):
+        rc, _, err = run(capsys, "figure", fid, "--grid", "11", "--out", str(tmp_path))
+        assert rc == 2
+        assert "--grid" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_validates_overrides_before_creating_the_directory(capsys, tmp_path):
+    out = tmp_path / "new"
+    for override in (("--grid", "1"), ("--n", "0"), ("--alpha", "5", "--beta", "1")):
+        rc, _, err = run(capsys, "figure", "f1", *override, "--out", str(out))
+        assert rc == 2
+        assert err.startswith("error:")
+        assert not out.exists()
 
 
 # ------------------------------------------------------------- converge

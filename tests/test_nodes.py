@@ -10,8 +10,6 @@ from stancu_lab import (
     check_theorem1,
     check_theorem2,
     check_theorem3,
-    node_gap,
-    stancu_nodes,
 )
 
 params_strategy = st.builds(
@@ -22,42 +20,46 @@ params_strategy = st.builds(
 )
 
 
+def gaps(p):
+    """Displacement of every shifted node from its plain counterpart k/n."""
+    return p.node_values() - StancuParams(p.n).node_values()
+
+
 def test_plain_nodes():
-    ns = stancu_nodes(StancuParams(4, 0.0, 0.0))
-    np.testing.assert_array_equal(ns.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert ns.spacing_h == 0.25
+    nodes = StancuParams(4, 0.0, 0.0).node_values()
+    np.testing.assert_array_equal(nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert (np.diff(nodes) == 0.25).all()
 
 
 def test_shifted_nodes_first_and_last():
-    ns = stancu_nodes(StancuParams(25, 17.0, 100.0))
-    assert ns.nodes[0] == pytest.approx(17.0 / 125.0, abs=1e-15)
-    assert ns.nodes[-1] == pytest.approx(42.0 / 125.0, abs=1e-15)
-    assert ns.spacing_h == pytest.approx(1.0 / 125.0, abs=1e-18)
+    nodes = StancuParams(25, 17.0, 100.0).node_values()
+    assert nodes[0] == pytest.approx(17.0 / 125.0, abs=1e-15)
+    assert nodes[-1] == pytest.approx(42.0 / 125.0, abs=1e-15)
+    np.testing.assert_allclose(np.diff(nodes), 1.0 / 125.0, rtol=0, atol=1e-15)
     # alpha = beta pins the last node to 1
-    assert stancu_nodes(StancuParams(10, 5.0, 5.0)).nodes[-1] == 1.0
+    assert StancuParams(10, 5.0, 5.0).node_values()[-1] == 1.0
 
 
 @given(p=params_strategy)
 @settings(max_examples=150, deadline=None)
 def test_nodes_equidistant(p):
-    ns = stancu_nodes(p)
-    assert np.abs(np.diff(ns.nodes) - ns.spacing_h).max() <= 1e-15
-    assert float(ns.nodes[0]) >= 0.0 and float(ns.nodes[-1]) <= 1.0
+    nodes = p.node_values()
+    assert nodes.size == p.n + 1
+    assert np.abs(np.diff(nodes) - 1.0 / (p.n + p.beta)).max() <= 1e-15
+    assert float(nodes[0]) >= 0.0 and float(nodes[-1]) <= 1.0
 
 
 def test_node_gap_values():
-    assert node_gap(0, StancuParams(25, 17.0, 100.0)) == pytest.approx(0.136, abs=1e-15)
+    assert gaps(StancuParams(25, 17.0, 100.0))[0] == pytest.approx(0.136, abs=1e-15)
     # the families meet where k/n equals alpha/beta
-    assert node_gap(47, StancuParams(100, 47.0, 100.0)) == 0.0
-    with pytest.raises(ValueError):
-        node_gap(26, StancuParams(25, 17.0, 100.0))
+    assert gaps(StancuParams(100, 47.0, 100.0))[47] == 0.0
 
 
 @given(p=params_strategy, k_frac=st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_node_gap_identity_and_bound(p, k_frac):
     k = int(round(k_frac * p.n))
-    g = node_gap(k, p)
+    g = gaps(p)[k]
     alt = (p.n * p.alpha - k * p.beta) / (p.n * (p.n + p.beta))
     assert abs(g - alt) <= 1e-15
     # the displacement bound; 1e-15 covers the alpha = 0 equality case
@@ -88,6 +90,11 @@ def test_theorem1_validation():
         check_theorem1(StancuParams(10, 1.0, 2.0), [10, 10])
     with pytest.raises(ValueError):
         check_theorem1(StancuParams(10, 1.0, 2.0), [50, 25])
+    # degrees are validated, never truncated: 2.5 and True are not degrees
+    with pytest.raises(ValueError):
+        check_theorem1(StancuParams(10, 1.0, 2.0), [2.5, 5])
+    with pytest.raises(ValueError):
+        check_theorem1(StancuParams(10, 1.0, 2.0), [True, 5])
 
 
 @pytest.mark.parametrize("alpha", [17.0, 47.0, 77.0])

@@ -1,6 +1,7 @@
 """Core operator tests: basis stability, moment identities, operator algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from stancu_lab import (
     apply_operator,
     apply_operator_curve,
     basis_row,
-    bernstein_basis,
     moment_closed_form,
 )
 
@@ -38,16 +38,16 @@ def loggamma_basis(n, k, x):
 
 
 def test_basis_degenerate_endpoints_are_exact():
-    assert bernstein_basis(5, 0, 0.0) == 1.0
-    assert bernstein_basis(5, 5, 1.0) == 1.0
-    assert bernstein_basis(5, 3, 0.0) == 0.0
-    assert bernstein_basis(5, 2, 1.0) == 0.0
+    assert basis_row(5, 0.0)[0] == 1.0
+    assert basis_row(5, 1.0)[5] == 1.0
+    assert basis_row(5, 0.0)[3] == 0.0
+    assert basis_row(5, 1.0)[2] == 0.0
     row = basis_row(7, 0.0)
     assert row[0] == 1.0 and np.all(row[1:] == 0.0)
 
 
 def test_basis_small_exact_values():
-    assert bernstein_basis(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert basis_row(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
     np.testing.assert_allclose(basis_row(1, 0.3), [0.7, 0.3], atol=1e-15)
     np.testing.assert_allclose(
         basis_row(4, 0.5), np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0, atol=1e-15
@@ -55,16 +55,21 @@ def test_basis_small_exact_values():
 
 
 def test_basis_high_degree_matches_log_space_oracle():
-    v = bernstein_basis(250, 125, 0.5)
+    v = basis_row(250, 0.5)[125]
     ref = loggamma_basis(250, 125, 0.5)
     assert abs(v - ref) / ref < 1e-12
 
 
 def test_basis_row_matches_scalar_entries_exactly():
+    # entry k is the operator image of the function that is 1 at node k
+    # and 0 at the other nodes
+    p = StancuParams(9)
+    nodes = p.node_values()
+    units = [FunctionSpec.tabulated(f"e_{k}", nodes, np.eye(10)[k]) for k in range(10)]
     for x in (0.0, 0.125, 0.5, 0.77, 1.0):
         row = basis_row(9, x)
         for k in range(10):
-            assert row[k] == bernstein_basis(9, k, x)
+            assert row[k] == apply_operator(units[k], p, x)
 
 
 def test_partition_of_unity_through_degree_1000():
@@ -107,11 +112,7 @@ def test_basis_nonnegative_and_normalized(n, x):
 
 def test_basis_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        bernstein_basis(5, -1, 0.5)
-    with pytest.raises(ValueError):
-        bernstein_basis(5, 6, 0.5)
-    with pytest.raises(ValueError):
-        bernstein_basis(0, 0, 0.5)
+        basis_row(0, 0.5)
     with pytest.raises(ValueError):
         basis_row(5, 1.5)
     with pytest.raises(ValueError):
@@ -165,12 +166,13 @@ def test_shift_zero_reduces_to_plain_operator():
     n = 40
     p = StancuParams(n, 0.0, 0.0)
     np.testing.assert_array_equal(p.node_values(), np.arange(n + 1) / n)
-    x = 0.37
-    row = basis_row(n, x)
-    acc = 0.0
-    for k in range(n + 1):
-        acc = acc + f(k / n) * row[k]
-    assert acc == apply_operator(f, p, x)
+    # the sum runs in ascending k, and in descending k for reflected x > 1/2
+    for x, order in ((0.37, range(n + 1)), (0.5, range(n + 1)), (0.83, range(n, -1, -1))):
+        row = basis_row(n, x)
+        acc = 0.0
+        for k in order:
+            acc = acc + f(k / n) * row[k]
+        assert acc == apply_operator(f, p, x)
 
 
 @given(
@@ -213,11 +215,25 @@ def test_positivity_and_monotonicity():
 
 def test_curve_is_pointwise_identical_to_scalar_path():
     f = FunctionSpec.builtin("sin15")
-    p = StancuParams(50, 20.0, 30.0)
-    curve = apply_operator_curve(f, p, 101)
-    assert curve.grid[0] == 0.0 and curve.grid[-1] == 1.0
-    for i in range(0, 101, 7):
-        assert curve.values[i] == apply_operator(f, p, float(curve.grid[i]))
+    for n in (1, 50, 1000):
+        p = StancuParams(n, 20.0, 30.0)
+        curve = apply_operator_curve(f, p, 101)
+        assert curve.grid[0] == 0.0 and curve.grid[-1] == 1.0
+        for i in range(101):
+            assert curve.values[i] == apply_operator(f, p, float(curve.grid[i]))
+
+
+def test_curve_memory_does_not_grow_with_degree():
+    # the basis is streamed, never held as an (n+1) x grid array (that
+    # would be 160 MB here)
+    f = FunctionSpec.builtin("sin15")
+    tracemalloc.start()
+    try:
+        apply_operator_curve(f, StancuParams(1000, 20.0, 30.0), 20001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_curve_validation():
