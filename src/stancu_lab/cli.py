@@ -14,6 +14,7 @@ the default measurement grids.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from .bounds import (
     sup_error,
     theorem4_experiment,
 )
-from .figures import FIGURES, NODE_HEADER, build_figure, fmt, node_rows, with_overrides
+from .figures import FIGURES, NODE_HEADER, build_figure, csv_rows, fmt, node_rows, with_overrides
 from .nodes import DIST_CUSHION, GAP_CUSHION, check_theorem1, check_theorem2, check_theorem3
 from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, evaluate
 
@@ -55,8 +56,11 @@ def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _parse_pair(raw: str) -> tuple[float, float]:
@@ -83,16 +87,19 @@ def cmd_eval(args) -> int:
         raise ValueError("--grid must be an integer >= 2")
     else:
         xs = np.linspace(0.0, 1.0, args.grid)
-    cols = (xs, f(xs), evaluate(f, plain, xs), evaluate(f, p, xs))
-    lines = ["x,f,bernstein,stancu"] + [",".join(fmt(v) for v in row) for row in zip(*cols)]
+    cols = [np.asarray(c, dtype=float)
+            for c in (xs, f(xs), evaluate(f, plain, xs), evaluate(f, p, xs))]
+    lines = ["x,f,bernstein,stancu"]
+    # blocks of points, so the Python-float copies stay small on large grids
+    for i in range(0, xs.size, 4096):
+        lines += csv_rows([c[i : i + 4096].tolist() for c in cols])
     _emit(lines, args.out)
     return 0
 
 
 def cmd_nodes(args) -> int:
     p = StancuParams(args.n, args.alpha, args.beta)
-    lines = [NODE_HEADER] + [",".join(row) for row in node_rows(p)]
-    _emit(lines, args.out)
+    _emit([NODE_HEADER] + node_rows(p), args.out)
     return 0
 
 
@@ -103,6 +110,8 @@ def _check_t1(args) -> int:
         degrees = [args.n]
     else:
         raise ValueError("t1 needs --n or --n-list")
+    if not degrees:
+        raise ValueError("--n-list must hold at least one degree")
     report = check_theorem1(StancuParams(max(degrees), args.alpha, args.beta), degrees)
     lines = ["n,max_gap,bound"]
     for n, g, b in zip(report.degrees, report.max_gaps, report.bounds):
@@ -124,8 +133,7 @@ def _check_t2(args) -> int:
         raise ValueError("t2 needs --n")
     p = StancuParams(args.n, args.alpha, args.beta)
     report = check_theorem2(p)
-    lines = [NODE_HEADER] + [",".join(row) for row in node_rows(p)]
-    _emit(lines, args.out)
+    _emit([NODE_HEADER] + node_rows(p), args.out)
     if not report.ok:
         bad = report.stancu_dist > report.bernstein_dist + DIST_CUSHION
         k = int(np.argmax(bad)) if bad.any() else 0
@@ -143,14 +151,12 @@ def _check_t3(args) -> int:
     # every pair is validated before anything is written
     reports = [check_theorem3(p1, p2) for p1, p2 in zip(params, params[1:])]
     m = reports[0].ratio_m
-    lines = ["k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))]
-    node_cols = [q.node_values() for q in params]
-    for k in range(args.n + 1):
-        cells = [str(k)]
-        for col in node_cols:
-            cells += [fmt(col[k]), fmt(abs(col[k] - m))]
-        lines.append(",".join(cells))
-    _emit(lines, args.out)
+    cols = [range(args.n + 1)]
+    for q in params:
+        nodes = q.node_values()
+        cols += [nodes.tolist(), np.abs(nodes - m).tolist()]
+    header = "k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))
+    _emit([header] + csv_rows(cols), args.out)
     for p1, p2, report in zip(params, params[1:], reports):
         if not report.ok:
             print(
@@ -200,15 +206,14 @@ def cmd_figure(args) -> int:
     # build first: invalid overrides raise before the output directory exists
     csv_text, svg_text = build_figure(job)
     out_dir = Path(args.out)
+    csv_path = out_dir / f"{job.figure_id}.csv"
+    svg_path = out_dir / f"{job.figure_id}.svg"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{job.figure_id}.csv"
-        svg_path = out_dir / f"{job.figure_id}.svg"
         csv_path.write_text(csv_text, encoding="utf-8", newline="\n")
         svg_path.write_text(svg_text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"error: cannot write figure outputs: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write figure outputs: {exc}") from None
     print(csv_path)
     print(svg_path)
     return 0
@@ -249,7 +254,9 @@ def _add_common(sub, function=True):
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stancu-lab",
         description="Bernstein-Stancu operator experiments: evaluation, node geometry, "

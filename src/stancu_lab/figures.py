@@ -7,8 +7,10 @@ families and their distances to m = alpha/beta; single-pair node figures
 use the ``nodes`` subcommand schema, the multi-pair figure f9 prefixes it
 with the pair columns (``alpha,beta,k,...``), one row block per pair.
 
-The SVG for a figure is rendered from the emitted CSV text, never from a
-second computation.
+The SVG for a figure is drawn from the same float values the CSV holds,
+never from a second computation. Columns are built once as Python floats
+and each CSV cell is their ``repr``, the shortest decimal that reads back
+to the same float, so the CSV and the SVG cannot disagree.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ def fmt(v: float) -> str:
     return repr(float(v))
 
 
+def csv_rows(cols) -> list[str]:
+    """CSV rows of equal-length columns of Python floats (or ints).
+
+    Each cell is ``repr`` of its value, which is what ``fmt`` gives for a
+    float; build the columns with ``ndarray.tolist()``.
+    """
+    return list(map(",".join, zip(*[map(repr, c) for c in cols])))
+
+
 def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None) -> FigureJob:
     if n is not None:
         job = replace(job, n=int(n))
@@ -77,88 +88,67 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
     return job
 
 
-def _curve_csv(job: FigureJob) -> str:
+def _curve_columns(job: FigureJob) -> tuple[list[str], list[list[float]]]:
+    """Header and columns x, f, bernstein, stancu[, stancu2, stancu3]."""
     f = FunctionSpec.builtin(job.function)
     grid = np.linspace(0.0, 1.0, job.grid_size)
-    cols = [np.asarray(f(grid), dtype=float)]
     header = ["x", "f", "bernstein"]
+    cols = [grid, np.asarray(f(grid), dtype=float)]
     cols.append(apply_operator_curve(f, StancuParams(job.n, 0.0, 0.0), job.grid_size).values)
     for i, (a, b) in enumerate(job.pairs):
         cols.append(apply_operator_curve(f, StancuParams(job.n, a, b), job.grid_size).values)
         header.append("stancu" if i == 0 else f"stancu{i + 1}")
-    lines = [",".join(header)]
-    for j, x in enumerate(grid):
-        lines.append(",".join([fmt(x)] + [fmt(c[j]) for c in cols]))
-    return "\n".join(lines) + "\n"
+    return header, [c.tolist() for c in cols]
 
 
-def node_rows(p: StancuParams) -> list[list[str]]:
-    """Rows of the nodes schema: k,bernstein_node,stancu_node,gap,dists to m.
-
-    The distance columns are empty when beta = 0 (the ratio alpha/beta is
-    undefined there).
-    """
+def _node_columns(p: StancuParams) -> list:
+    """Columns k, bernstein_node, stancu_node, gap and, when beta > 0, the
+    distances of both families to m = alpha/beta."""
     plain = StancuParams(p.n).node_values()
     shifted = p.node_values()
-    gap = shifted - plain
-    rows = []
-    has_m = p.beta > 0.0
-    m = p.alpha / p.beta if has_m else None
-    for k in range(p.n + 1):
-        row = [str(k), fmt(plain[k]), fmt(shifted[k]), fmt(gap[k])]
-        if has_m:
-            row += [fmt(abs(plain[k] - m)), fmt(abs(shifted[k] - m))]
-        else:
-            row += ["", ""]
-        rows.append(row)
-    return rows
+    cols = [range(p.n + 1), plain.tolist(), shifted.tolist(), (shifted - plain).tolist()]
+    if p.beta > 0.0:
+        m = p.alpha / p.beta
+        cols += [np.abs(plain - m).tolist(), np.abs(shifted - m).tolist()]
+    return cols
+
+
+def _node_csv_rows(cols: list) -> list[str]:
+    rows = csv_rows(cols)
+    # beta = 0: the ratio alpha/beta is undefined, the distance cells stay empty
+    return rows if len(cols) > 4 else [row + ",," for row in rows]
+
+
+def node_rows(p: StancuParams) -> list[str]:
+    """CSV rows of the nodes schema: k,bernstein_node,stancu_node,gap,dists to m."""
+    return _node_csv_rows(_node_columns(p))
 
 
 NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
 
 
-def _nodes_csv(job: FigureJob) -> str:
-    lines = []
+def _nodes_csv(job: FigureJob, blocks: list) -> str:
     if len(job.pairs) == 1:
-        lines.append(NODE_HEADER)
-        a, b = job.pairs[0]
-        for row in node_rows(StancuParams(job.n, a, b)):
-            lines.append(",".join(row))
+        lines = [NODE_HEADER] + _node_csv_rows(blocks[0])
     else:
-        lines.append("alpha,beta," + NODE_HEADER)
-        for a, b in job.pairs:
-            for row in node_rows(StancuParams(job.n, a, b)):
-                lines.append(",".join([fmt(a), fmt(b)] + row))
+        lines = ["alpha,beta," + NODE_HEADER]
+        for (a, b), cols in zip(job.pairs, blocks):
+            prefix = f"{fmt(a)},{fmt(b)},"
+            lines += [prefix + row for row in _node_csv_rows(cols)]
     return "\n".join(lines) + "\n"
 
 
-def _svg_from_curve_csv(job: FigureJob, csv_text: str) -> str:
-    lines = csv_text.strip().split("\n")
-    header = lines[0].split(",")
-    data = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    xs = [row[0] for row in data]
-    series = [[row[i] for row in data] for i in range(1, len(header))]
-    labels = [header[1], header[2]]
-    for i, (a, b) in enumerate(job.pairs):
-        labels.append(f"stancu a={a:g} b={b:g}")
+def _curve_svg(job: FigureJob, header: list[str], cols: list[list[float]]) -> str:
+    labels = header[1:3] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
+    series = cols[1:]
     title = f"{job.figure_id}: {job.function}, n={job.n}"
-    return svg.line_chart(xs, series, labels, _CURVE_COLORS[: len(series)], title)
+    return svg.line_chart(cols[0], series, labels, _CURVE_COLORS[: len(series)], title)
 
 
-def _svg_from_nodes_csv(job: FigureJob, csv_text: str) -> str:
-    lines = csv_text.strip().split("\n")
-    offset = 0 if len(job.pairs) == 1 else 2
-    families = []
-    labels = []
-    rows = [line.split(",") for line in lines[1:]]
-    # plain family is identical across blocks; take it from the first
-    block = len(rows) // len(job.pairs)
-    families.append([float(r[offset + 1]) for r in rows[:block]])
-    labels.append("bernstein")
-    for i, (a, b) in enumerate(job.pairs):
-        chunk = rows[i * block : (i + 1) * block]
-        families.append([float(r[offset + 2]) for r in chunk])
-        labels.append(f"stancu a={a:g} b={b:g}")
+def _nodes_svg(job: FigureJob, blocks: list) -> str:
+    # the plain family is the same in every block; it is drawn once
+    families = [blocks[0][1]] + [cols[2] for cols in blocks]
+    labels = ["bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     title = f"{job.figure_id}: nodes, n={job.n}"
     guide = job.ratio_m
     if guide is None and len(job.pairs) == 1 and job.pairs[0][1] > 0.0:
@@ -169,7 +159,8 @@ def _svg_from_nodes_csv(job: FigureJob, csv_text: str) -> str:
 def build_figure(job: FigureJob) -> tuple[str, str]:
     """Return (csv_text, svg_text) for a figure job."""
     if job.kind == "curve":
-        csv_text = _curve_csv(job)
-        return csv_text, _svg_from_curve_csv(job, csv_text)
-    csv_text = _nodes_csv(job)
-    return csv_text, _svg_from_nodes_csv(job, csv_text)
+        header, cols = _curve_columns(job)
+        csv_text = "\n".join([",".join(header)] + csv_rows(cols)) + "\n"
+        return csv_text, _curve_svg(job, header, cols)
+    blocks = [_node_columns(StancuParams(job.n, a, b)) for a, b in job.pairs]
+    return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

@@ -7,6 +7,8 @@ formatted with two decimals so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import numpy as np
+
 WIDTH = 960
 HEIGHT = 360
 _LEFT, _RIGHT, _TOP, _BOTTOM = 56.0, 930.0, 42.0, 318.0
@@ -67,6 +69,7 @@ def line_chart(xs, series, labels, colors, title) -> str:
     lo, hi = lo - pad, hi + pad
 
     def fy(y):
+        # the same IEEE operations, in the same order, for a float or an array
         return _BOTTOM - (y - lo) / (hi - lo) * (_BOTTOM - _TOP)
 
     parts = [_HEADER]
@@ -79,8 +82,10 @@ def line_chart(xs, series, labels, colors, title) -> str:
             f'<line x1="{_num(_LEFT)}" y1="{_num(py)}" x2="{_num(_RIGHT)}" y2="{_num(py)}" '
             f'stroke="#ccc" stroke-width="1"/>'
         )
+    px = _fx(np.asarray(xs, dtype=float)).tolist()
     for ys, color in zip(series, colors):
-        pts = " ".join(f"{_num(_fx(x))},{_num(fy(y))}" for x, y in zip(xs, ys))
+        py = fy(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(map("{:.2f},{:.2f}".format, px, py))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

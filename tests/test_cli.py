@@ -132,6 +132,9 @@ def test_check_t1_trivial_and_sweep(capsys):
 def test_check_t1_needs_degrees(capsys):
     rc, _, err = run(capsys, "check", "t1", "--alpha", "1", "--beta", "2")
     assert rc == 2 and "--n" in err
+    rc, out, err = run(capsys, "check", "t1", "--alpha", "1", "--beta", "2", "--n-list", ",")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--n-list" in err
 
 
 def test_check_t2(capsys):
@@ -222,6 +225,24 @@ def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     rc, _, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
     assert rc == 1
     assert "FAIL at k=1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--n", "5", "--x", "0.5"),
+    ("nodes", "--n", "5"),
+    ("check", "t1", "--n", "10"),
+    ("check", "t2", "--n", "25", "--alpha", "17", "--beta", "100"),
+    ("check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4"),
+    ("check", "t4", "--n", "10", "--alpha", "1", "--beta", "2"),
+    ("converge", "--n-list", "5,10"),
+], ids=["eval", "nodes", "t1", "t2", "t3", "t4", "converge"])
+def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert not target.parent.exists()
 
 
 # --------------------------------------------------------------- figure
