@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import FunctionSpec, StancuParams, apply_operator_curve
+from .operators import FunctionSpec, StancuParams, apply_operator_curve, evaluate
 
 __all__ = [
     "BoundConfig",
@@ -121,9 +121,9 @@ def operator_distance(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAU
     Every node moves by at most (alpha + beta)/(n + beta), so this is
     bounded by omega(f; (alpha + beta)/(n + beta)) plus grid slack.
     """
-    shifted = apply_operator_curve(f, p, cfg.sup_grid_size)
-    plain = apply_operator_curve(f, StancuParams(p.n, 0.0, 0.0), cfg.sup_grid_size)
-    return float(np.abs(shifted.values - plain.values).max())
+    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
+    shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
+    return float(np.abs(shifted - plain).max())
 
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
@@ -147,17 +147,17 @@ class RatioFamily:
     scale_factors: tuple[float, ...]
 
     def __post_init__(self):
-        if not (0.0 < self.alpha0 < self.beta0):
-            raise ValueError("need 0 < alpha0 < beta0")
+        if not (0.0 < self.alpha0 < self.beta0 < math.inf):
+            raise ValueError("need 0 < alpha0 < beta0, both finite")
         s = tuple(float(v) for v in self.scale_factors)
-        if len(s) == 0 or any(v <= 0.0 for v in s):
-            raise ValueError("scale factors must be positive")
+        if len(s) == 0 or not all(0.0 < v < math.inf for v in s):
+            raise ValueError("scale factors must be positive and finite")
         if any(b <= a for a, b in zip(s, s[1:])):
             raise ValueError("scale factors must be strictly increasing")
         object.__setattr__(self, "scale_factors", s)
         m = self.alpha0 / self.beta0
         for a, b in self.levels():
-            if abs(a / b - m) > 1e-12 * max(1.0, m):
+            if not abs(a / b - m) <= 1e-12 * max(1.0, m):
                 raise ValueError("scaled pair drifts off the common ratio")
 
     @property
@@ -203,14 +203,11 @@ def theorem4_experiment(
     f_at_m = float(f(m))
     slack = grid_slack(f, cfg)
     levels = tuple(fam.levels())
-    distances = []
-    bound_vals = []
-    for a, b in levels:
-        curve = apply_operator_curve(f, StancuParams(int(n), a, b), cfg.sup_grid_size)
-        distances.append(float(np.abs(curve.values - f_at_m).max()))
-        bound_vals.append(modulus_of_continuity(f, 2.0 * n / (n + b), cfg) + slack)
-    d = np.array(distances)
-    bounds = np.array(bound_vals)
+    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
+    ps = tuple(StancuParams(int(n), a, b) for a, b in levels)
+    d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
+    bounds = np.array([modulus_of_continuity(f, 2.0 * n / (n + b), cfg) + slack
+                       for _, b in levels])
     return Theorem4Report(
         ratio_m=m,
         f_at_m=f_at_m,

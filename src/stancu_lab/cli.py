@@ -17,6 +17,9 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +55,23 @@ def _env_config() -> BoundConfig:
     return BoundConfig(mod_grid_size=mod_size, sup_grid_size=sup_size)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
+_BLOCK = 4096
+
+
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write lines to stdout, or to the file ``out``, one block at a time."""
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with (
+            nullcontext(sys.stdout)
+            if out is None
+            else open(out, "w", encoding="utf-8", newline="\n")
+        ) as stream:
+            it = iter(lines)
+            while block := list(islice(it, _BLOCK)):
+                stream.write("\n".join(block) + "\n")
     except OSError as exc:
+        if out is None:
+            raise
         raise ValueError(f"cannot write {out}: {exc}") from None
 
 
@@ -77,23 +89,37 @@ def _parse_list(raw: str, cast) -> list:
         raise ValueError(f"could not parse list {raw!r}") from None
 
 
+def _grid_slice(size: int, start: int, stop: int) -> np.ndarray:
+    """``np.linspace(0, 1, size)[start:stop]``, bit for bit."""
+    xs = np.arange(start, stop) * (1.0 / (size - 1))
+    if stop == size:
+        xs[-1] = 1.0
+    return xs
+
+
+def _eval_lines(f, ps, blocks):
+    yield "x,f,bernstein,stancu"
+    for xs in blocks:
+        cols = [xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T]
+        yield from csv_rows([c.tolist() for c in cols])
+
+
 def cmd_eval(args) -> int:
     f = FunctionSpec.builtin(args.function)
-    p = StancuParams(args.n, args.alpha, args.beta)
-    plain = StancuParams(args.n, 0.0, 0.0)
+    ps = (StancuParams(args.n), StancuParams(args.n, args.alpha, args.beta))
     if args.x is not None:
-        xs = np.array([float(args.x)])
+        probe = np.array([float(args.x)])
+        blocks = [probe]
     elif args.grid < 2:
         raise ValueError("--grid must be an integer >= 2")
     else:
-        xs = np.linspace(0.0, 1.0, args.grid)
-    cols = [np.asarray(c, dtype=float)
-            for c in (xs, f(xs), evaluate(f, plain, xs), evaluate(f, p, xs))]
-    lines = ["x,f,bernstein,stancu"]
-    # blocks of points, so the Python-float copies stay small on large grids
-    for i in range(0, xs.size, 4096):
-        lines += csv_rows([c[i : i + 4096].tolist() for c in cols])
-    _emit(lines, args.out)
+        size = args.grid
+        # the points nearest 1/2 have the smallest recurrence seeds
+        probe = _grid_slice(size, max(size // 2 - 2, 0), min(size // 2 + 2, size))
+        blocks = (_grid_slice(size, i, min(i + _BLOCK, size)) for i in range(0, size, _BLOCK))
+    # a bad point or a too-large degree raises here, before --out is opened
+    list(_eval_lines(f, ps, [probe]))
+    _emit(_eval_lines(f, ps, blocks), args.out)
     return 0
 
 
@@ -171,6 +197,8 @@ def _check_t3(args) -> int:
 def _check_t4(args) -> int:
     if args.n is None:
         raise ValueError("t4 needs --n")
+    if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
+        raise ValueError("--epsilon must be positive and finite")
     f = FunctionSpec.builtin(args.function)
     scales = _parse_list(args.scales, float)
     fam = RatioFamily(args.alpha, args.beta, tuple(scales))

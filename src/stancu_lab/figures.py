@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import svg
-from .operators import FunctionSpec, StancuParams, apply_operator_curve
+from .operators import FunctionSpec, StancuParams, evaluate
 
 __all__ = ["FIGURES", "FigureJob", "build_figure"]
 
@@ -90,14 +90,14 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
 
 def _curve_columns(job: FigureJob) -> tuple[list[str], list[list[float]]]:
     """Header and columns x, f, bernstein, stancu[, stancu2, stancu3]."""
+    if job.grid_size < 2:
+        raise ValueError("grid size must be an integer >= 2")
     f = FunctionSpec.builtin(job.function)
     grid = np.linspace(0.0, 1.0, job.grid_size)
     header = ["x", "f", "bernstein"]
-    cols = [grid, np.asarray(f(grid), dtype=float)]
-    cols.append(apply_operator_curve(f, StancuParams(job.n, 0.0, 0.0), job.grid_size).values)
-    for i, (a, b) in enumerate(job.pairs):
-        cols.append(apply_operator_curve(f, StancuParams(job.n, a, b), job.grid_size).values)
-        header.append("stancu" if i == 0 else f"stancu{i + 1}")
+    header += ["stancu" if i == 0 else f"stancu{i + 1}" for i in range(len(job.pairs))]
+    ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
+    cols = [grid, np.asarray(f(grid), dtype=float), *evaluate(f, ps, grid).T]
     return header, [c.tolist() for c in cols]
 
 

@@ -10,10 +10,13 @@ Everything in this module is a pure function of its arguments. All
 evaluation goes through ``evaluate``: one forward ratio recurrence over k
 (no explicit binomial coefficients, so degrees in the hundreds stay exact
 to ~1e-13) that adds f(t_k) b_{n,k}(x) to a running sum as it goes, so
-the basis is never materialised and memory does not depend on n. Points
-x > 1/2 run the recurrence at 1 - x over the node values in reverse, so
-it always starts from its well-conditioned end and (1 - x)**n never
-underflows for the supported degree range.
+the basis is never materialised and memory does not depend on n. The
+basis depends on n and x only, never on the shifts, so operators of one
+degree share one recurrence: ``evaluate`` takes a tuple of them and
+updates the basis once per step for all. Points x > 1/2 run the
+recurrence at 1 - x over the node values in reverse, so it always starts
+from its well-conditioned end and (1 - x)**n never underflows for the
+supported degree range.
 """
 
 from __future__ import annotations
@@ -161,46 +164,61 @@ class SampledCurve:
         object.__setattr__(self, "values", values)
 
 
-def _stream(values: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
-    """sum_k values[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
+def _stream(steps: list, ratios: list, u: np.ndarray) -> np.ndarray:
+    """sum_k steps[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
-    Forward ratio recurrence from the seed (1 - u)**n, accumulated in
-    ascending k; degrees large enough to underflow the seed are rejected
-    rather than silently returning zeros.
+    ``steps[k]`` holds the node value at k of every column: a Python
+    float for one column, a (C, 1) array for C columns (the result is
+    then (C, len(u))). ``ratios[k]`` is (n - k)/(k + 1). Forward ratio
+    recurrence from the seed (1 - u)**n, accumulated in ascending k; the
+    basis is updated once per step for all columns. Degrees large enough
+    to underflow the seed are rejected rather than silently returning
+    zeros.
     """
-    u = u.reshape((-1,) + (1,) * (values.ndim - 1))
+    n = len(ratios)
     b = (1.0 - u) ** n
     if float(b.min()) < np.finfo(float).tiny:
         raise ValueError(f"degree n={n} too large for float64 basis recurrence")
     r = u / (1.0 - u)
-    acc = 0.0 + values[0] * b
+    acc = 0.0 + steps[0] * b
     # out-of-place: numpy's in-place operators with a Python scalar cost
     # about twice as much per call on one-point arrays
-    for k in range(n):
-        b = b * r * ((n - k) / (k + 1.0))
-        acc = acc + values[k + 1] * b
+    for v, c in zip(steps[1:], ratios):
+        b = b * r * c
+        acc = acc + v * b
     return acc
 
 
-def evaluate(f, p: StancuParams, xs) -> np.ndarray:
+def evaluate(f, p, xs) -> np.ndarray:
     """Operator values sum_k b_{n,k}(x) f(t_k) at every point x of xs.
 
-    ``f`` maps the node array t to values; an (n+1, ...) value array gives
-    results of shape (len(xs), ...). x = 0 and x = 1 return f(t_0) and
-    f(t_n) exactly (the recurrence would hit 0**0 there); points
-    x > 1/2 are reflected to 1 - x with the node values reversed.
+    ``p`` is one StancuParams, or a tuple of them sharing one degree: the
+    basis depends on n and x only, so one recurrence serves them all and
+    the result has shape (len(xs), len(p)), column j bit-identical to
+    ``evaluate(f, p[j], xs)``. For one operator, ``f`` maps the node array
+    t to values; an (n+1, C) value array gives results of shape
+    (len(xs), C). x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
+    recurrence would hit 0**0 there); points x > 1/2 are reflected to
+    1 - x with the node values reversed.
     """
     xs = _as_unit_interval(xs).reshape(-1)
-    fn = np.asarray(f(p.node_values()), dtype=float)
+    ps = (p,) if isinstance(p, StancuParams) else tuple(p)
+    if not ps or any(q.n != ps[0].n for q in ps):
+        raise ValueError("operators evaluated together must share one degree")
+    n = ps[0].n
+    cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
+    fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
+    steps = fn.tolist() if fn.ndim == 1 else list(fn[:, :, None])
+    ratios = [(n - k) / (k + 1.0) for k in range(n)]
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]
     left = (xs > 0.0) & (xs <= 0.5)
     right = (xs > 0.5) & (xs < 1.0)
     if left.any():
-        out[left] = _stream(fn, p.n, xs[left])
+        out[left] = _stream(steps, ratios, xs[left]).T
     if right.any():
-        out[right] = _stream(fn[::-1], p.n, 1.0 - xs[right])
+        out[right] = _stream(steps[::-1], ratios, 1.0 - xs[right]).T
     return out
 
 

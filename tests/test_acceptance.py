@@ -198,7 +198,9 @@ def test_criterion_08_classical_rate_window():
         #   seed (1 - 1/2)**n: pow is within 1 ulp                 -> 2
         #   n recurrence steps, b * r * ((n-k)/(k+1)): 3 each      -> 3n
         #   f(t_k) * b_k: 1; ascending recursive sum: n additions  -> n + 1
-        #   (x = 1/2 is not reflected, so the sum runs in ascending k)
+        #   (x = 1/2 is not reflected, so the sum runs in ascending k;
+        #   evaluating several operators of one degree together keeps
+        #   each value's operations and their order, so this count holds)
         # i.e. 4n + 5, plus 1 for the final subtraction of f(1/2) = 1/4
         # (exact), giving gamma_{4n+6} * S. No operation is assumed exact.
         eps = _gamma(4 * n + 6) * (0.25 + 1.0 / (4 * n))

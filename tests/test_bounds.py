@@ -275,6 +275,18 @@ def test_ratio_family_validation():
         theorem4_experiment(SIN15, 0, RatioFamily(1.0, 2.0, (1.0,)))
 
 
+@pytest.mark.parametrize("alpha0,beta0,scales", [
+    (1.0, 2.0, (math.nan,)),
+    (1.0, 2.0, (1.0, math.inf)),
+    (1.0, math.inf, (1.0,)),
+    (math.nan, 2.0, (1.0,)),
+    (1.0, 2.0, (1.0, math.nan, 3.0)),
+])
+def test_ratio_family_rejects_non_finite_values(alpha0, beta0, scales):
+    with pytest.raises(ValueError):
+        RatioFamily(alpha0, beta0, scales)
+
+
 def test_bound_config_validation():
     with pytest.raises(ValueError):
         BoundConfig(c1=0.0)

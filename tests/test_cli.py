@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,35 @@ def test_eval_rejects_grid_below_two(capsys):
         assert rc == 2
         assert out == ""
         assert "--grid" in err
+
+
+def test_eval_memory_does_not_grow_with_the_grid(capsys, tmp_path):
+    # points are evaluated, formatted and written one block at a time; the
+    # whole CSV held at once would take about 15 MiB here
+    target = tmp_path / "eval.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["eval", "--n", "5", "--grid", "50001", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4 * 2**20
+    with target.open() as fh:
+        assert sum(1 for _ in fh) == 50002
+
+
+@pytest.mark.parametrize("where", ["stdout", "out"])
+def test_eval_degree_error_writes_nothing(capsys, tmp_path, where):
+    # at n = 1100 the first blocks of this grid evaluate and the block
+    # around 1/2 underflows; the error must come before any line
+    target = tmp_path / "eval.csv"
+    argv = ["eval", "--n", "1100", "--grid", "100001"]
+    rc, out, err = run(capsys, *argv, *(["--out", str(target)] if where == "out" else []))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: degree n=1100")
+    assert not target.exists()
 
 
 def test_eval_rejects_swapped_shifts(capsys):
@@ -187,6 +217,18 @@ def test_check_t4_bound_and_epsilon(capsys):
                      "--epsilon", "0.01")
     assert rc == 1
     assert "epsilon" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--epsilon", "nan"), ("--epsilon", "0"), ("--epsilon", "-0.5"), ("--epsilon", "inf"),
+    ("--scales", "1,nan"), ("--scales", "1,inf"), ("--scales", "nan"),
+])
+def test_check_t4_rejects_invalid_input(capsys, flag, value):
+    rc, out, err = run(capsys, "check", "t4", "--n", "10", "--alpha", "1", "--beta", "2",
+                       flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):

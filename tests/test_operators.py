@@ -15,6 +15,7 @@ from stancu_lab import (
     apply_operator,
     apply_operator_curve,
     basis_row,
+    evaluate,
     moment_closed_form,
 )
 
@@ -221,6 +222,31 @@ def test_curve_is_pointwise_identical_to_scalar_path():
         assert curve.grid[0] == 0.0 and curve.grid[-1] == 1.0
         for i in range(101):
             assert curve.values[i] == apply_operator(f, p, float(curve.grid[i]))
+
+
+BATCH_PAIRS = ((0.0, 0.0), (20.0, 30.0), (4.7, 10.0), (470.0, 1000.0))
+
+
+@pytest.mark.parametrize("n", [1, 50, 1000])
+def test_batched_columns_equal_single_operator_evaluation(n):
+    # operators of one degree share one recurrence; the operations on each
+    # value are unchanged, so every column matches bit for bit
+    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
+    for f in (FunctionSpec.builtin("sin15"), FunctionSpec.builtin("abshalf")):
+        for xs in (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
+                   0.3, 0.5, 0.5000001, 0.77, 0.0, 1.0):
+            got = evaluate(f, ps, xs)
+            assert got.shape == (np.size(xs), len(ps))
+            for j, p in enumerate(ps):
+                assert (got[:, j] == evaluate(f, p, xs)).all()
+
+
+def test_batched_evaluation_needs_one_shared_degree():
+    f = FunctionSpec.builtin("sin15")
+    with pytest.raises(ValueError):
+        evaluate(f, (StancuParams(10), StancuParams(11, 1.0, 2.0)), 0.3)
+    with pytest.raises(ValueError):
+        evaluate(f, (), 0.3)
 
 
 def test_curve_memory_does_not_grow_with_degree():
