@@ -25,8 +25,7 @@ from stancu_lab import (
     corollary2_bound,
     grid_slack,
     modulus_of_continuity,
-    operator_distance,
-    sup_error,
+    sup_error_and_distance,
     theorem4_experiment,
 )
 
@@ -50,8 +49,9 @@ def main() -> int:
         p = StancuParams(n, a, b)
         shift = (a + b) / (n + b)
         shift_bound = (modulus_of_continuity(f, shift) + slack) if shift > 0 else 0.0
-        print(f"{a:8.1f} {b:8.1f} {sup_error(f, p):12.6f} "
-              f"{operator_distance(f, p):12.6f} {shift_bound:12.6f} "
+        sup, dist = sup_error_and_distance(f, p)
+        print(f"{a:8.1f} {b:8.1f} {sup:12.6f} "
+              f"{dist:12.6f} {shift_bound:12.6f} "
               f"{corollary2_bound(f, p):12.6f}")
 
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0, 10000.0))

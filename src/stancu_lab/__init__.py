@@ -12,6 +12,7 @@ from .bounds import (
     modulus_of_continuity,
     operator_distance,
     sup_error,
+    sup_error_and_distance,
     theorem4_experiment,
 )
 from .nodes import (
@@ -61,5 +62,6 @@ __all__ = [
     "moment_closed_form",
     "operator_distance",
     "sup_error",
+    "sup_error_and_distance",
     "theorem4_experiment",
 ]

@@ -37,6 +37,7 @@ __all__ = [
     "modulus_of_continuity",
     "operator_distance",
     "sup_error",
+    "sup_error_and_distance",
     "theorem4_experiment",
 ]
 
@@ -124,6 +125,23 @@ def operator_distance(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAU
     grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
     shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
     return float(np.abs(shifted - plain).max())
+
+
+def sup_error_and_distance(
+    f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG
+) -> tuple[float, float]:
+    """``(sup_error(f, p, cfg), operator_distance(f, p, cfg))`` from one evaluation.
+
+    The shifted and plain operators share one basis recurrence, so a
+    single batched ``evaluate`` yields both grid maxima, each
+    bit-identical to its own function.
+    """
+    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
+    shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
+    return (
+        float(np.abs(shifted - np.asarray(f(grid), dtype=float)).max()),
+        float(np.abs(shifted - plain).max()),
+    )
 
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:

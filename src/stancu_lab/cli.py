@@ -30,8 +30,7 @@ from .bounds import (
     NOISE_FLOOR,
     RatioFamily,
     corollary2_bound,
-    operator_distance,
-    sup_error,
+    sup_error_and_distance,
     theorem4_experiment,
 )
 from .figures import FIGURES, NODE_HEADER, build_figure, csv_rows, fmt, node_rows, with_overrides
@@ -258,8 +257,7 @@ def cmd_converge(args) -> int:
     for n in degrees:
         p = StancuParams(n, args.alpha, args.beta)
         row = (
-            sup_error(f, p, cfg),
-            operator_distance(f, p, cfg),
+            *sup_error_and_distance(f, p, cfg),
             corollary2_bound(f, p, cfg),
             (args.alpha + args.beta) / (n + args.beta),
         )
@@ -273,10 +271,11 @@ def cmd_converge(args) -> int:
     return 0
 
 
-def _add_common(sub, function=True):
+def _add_common(sub, function=True, degree=True):
     if function:
         sub.add_argument("--function", choices=BUILTIN_FUNCTIONS, default="sin15")
-    sub.add_argument("--n", type=int, default=None)
+    if degree:
+        sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--alpha", type=float, default=0.0)
     sub.add_argument("--beta", type=float, default=0.0)
     sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
@@ -320,8 +319,10 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=".", help="output directory")
     s.set_defaults(func=cmd_figure)
 
-    s = subs.add_parser("converge", help="sup-error scan over a degree sweep")
-    _add_common(s)
+    # --n-list sets the degrees. Without --n and without abbreviations, a
+    # stray --n is rejected instead of being ignored or read as --n-list.
+    s = subs.add_parser("converge", help="sup-error scan over a degree sweep", allow_abbrev=False)
+    _add_common(s, degree=False)
     s.add_argument("--n-list", required=True, help="comma list of degrees, increasing")
     s.set_defaults(func=cmd_converge)
 

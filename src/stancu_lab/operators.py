@@ -16,11 +16,16 @@ degree share one recurrence: ``evaluate`` takes a tuple of them and
 updates the basis once per step for all. Points x > 1/2 run the
 recurrence at 1 - x over the node values in reverse, so it always starts
 from its well-conditioned end and (1 - x)**n never underflows for the
-supported degree range.
+supported degree range. The weights sit within a few sqrt(n x (1 - x))
+of k = n x, so the recurrence stops as soon as no remaining term can
+change a bit of the running sum at any point: the result is
+bit-identical to running all n steps, which a zero running sum always
+does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,28 +169,61 @@ class SampledCurve:
         object.__setattr__(self, "values", values)
 
 
-def _stream(steps: list, ratios: list, u: np.ndarray) -> np.ndarray:
+_TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
+_CHECK_EVERY = 4
+
+
+def _stream(steps: list, ratios: list, u: np.ndarray, fmax: float) -> np.ndarray:
     """sum_k steps[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
     ``steps[k]`` holds the node value at k of every column: a Python
     float for one column, a (C, 1) array for C columns (the result is
-    then (C, len(u))). ``ratios[k]`` is (n - k)/(k + 1). Forward ratio
-    recurrence from the seed (1 - u)**n, accumulated in ascending k; the
-    basis is updated once per step for all columns. Degrees large enough
-    to underflow the seed are rejected rather than silently returning
-    zeros.
+    then (C, len(u))). ``ratios[k]`` is (n - k)/(k + 1) and ``fmax``
+    bounds |steps[k]| for every k. Forward ratio recurrence from the seed
+    (1 - u)**n, accumulated in ascending k; the basis is updated once per
+    step for all columns. It stops once no remaining term can change the
+    sum at any point or column, so the result is bit-identical to the
+    full n steps. Degrees large enough to underflow the seed are rejected
+    rather than silently returning zeros.
     """
     n = len(ratios)
     b = (1.0 - u) ** n
-    if float(b.min()) < np.finfo(float).tiny:
+    if float(b.min()) < _TINY:
         raise ValueError(f"degree n={n} too large for float64 basis recurrence")
     r = u / (1.0 - u)
     acc = 0.0 + steps[0] * b
+    um = float(u.max())
+    rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
+    bound = fmax * 2.0**56
+    first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
     # out-of-place: numpy's in-place operators with a Python scalar cost
     # about twice as much per call on one-point arrays
-    for v, c in zip(steps[1:], ratios):
+    for k, (v, c) in enumerate(zip(steps[1:], ratios), 1):
         b = b * r * c
         acc = acc + v * b
+        # Exact stop. This step used ratio c, and every later step
+        # multiplies by r * c_j <= rm * c < 3/4 (the ratios fall with k).
+        # Each step rounds twice (unit roundoff 2**-53, subnormal spacing
+        # 2**-1074), so b' <= 0.76 b + (c + 2) 2**-1075: for n < 2**50 no
+        # later b exceeds B = max(b, 2**-1022), and every later term
+        # |v b_j| rounds to at most fl(fmax B). The test below,
+        # fl(2**56 fmax B) < |acc|, gives fmax B < |acc| 2**-56 exactly.
+        # For |acc| in [2**e, 2**(e+1)) that is below 2**(e-55), a quarter
+        # of the float spacing on either side of acc, so each later sum
+        # rounds back to acc (round to nearest); where 2**(e-55) is below
+        # the least subnormal, the terms are 0. acc = 0 never passes, and
+        # an overflowing bound only never stops. Where the check sits
+        # changes speed, never results: first near
+        # n u + 8.7 sqrt(n u (1 - u)), u = max(u), where the binomial
+        # tail has fallen below 2**-55 ~ e**-38 of its peak, then every
+        # few steps; never on streams where that estimate is >= n.
+        if (
+            first <= k < n
+            and (k - first) % _CHECK_EVERY == 0
+            and rm * c < 0.75
+            and (bound * np.maximum(b, _TINY) < np.abs(acc)).all()
+        ):
+            break
     return acc
 
 
@@ -208,6 +246,7 @@ def evaluate(f, p, xs) -> np.ndarray:
     n = ps[0].n
     cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
     fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
+    fmax = float(np.abs(fn).max())
     steps = fn.tolist() if fn.ndim == 1 else list(fn[:, :, None])
     ratios = [(n - k) / (k + 1.0) for k in range(n)]
     out = np.empty(xs.shape + fn.shape[1:])
@@ -216,9 +255,9 @@ def evaluate(f, p, xs) -> np.ndarray:
     left = (xs > 0.0) & (xs <= 0.5)
     right = (xs > 0.5) & (xs < 1.0)
     if left.any():
-        out[left] = _stream(steps, ratios, xs[left]).T
+        out[left] = _stream(steps, ratios, xs[left], fmax).T
     if right.any():
-        out[right] = _stream(steps[::-1], ratios, 1.0 - xs[right]).T
+        out[right] = _stream(steps[::-1], ratios, 1.0 - xs[right], fmax).T
     return out
 
 

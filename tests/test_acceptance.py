@@ -203,6 +203,9 @@ def test_criterion_08_classical_rate_window():
         #   each value's operations and their order, so this count holds)
         # i.e. 4n + 5, plus 1 for the final subtraction of f(1/2) = 1/4
         # (exact), giving gamma_{4n+6} * S. No operation is assumed exact.
+        # The recurrence may stop before step n once no later term can
+        # change the sum; the value is then bit-identical to the full sum,
+        # so 4n + 6 is an upper bound on the operations and eps_n holds.
         eps = _gamma(4 * n + 6) * (0.25 + 1.0 / (4 * n))
         got = sup_error(E["e2"], StancuParams(n, 0.0, 0.0))
         inside = float(top) - 2.0 * h <= got <= float(top) + eps

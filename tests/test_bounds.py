@@ -37,6 +37,7 @@ from stancu_lab import (
     modulus_of_continuity,
     operator_distance,
     sup_error,
+    sup_error_and_distance,
     theorem4_experiment,
 )
 
@@ -170,6 +171,16 @@ def test_operator_distance_linear_closed_form(n, a, b):
     # images of t differ by (a - b x)/(n + b): extremes sit at the endpoints
     want = max(a, b - a) / (n + b)
     assert operator_distance(E1, StancuParams(n, a, b)) == pytest.approx(want, abs=1e-15)
+
+
+def test_sup_error_and_distance_equal_their_own_functions():
+    # one batched evaluation must give both values bit for bit
+    cfg = BoundConfig(sup_grid_size=257)
+    for f in (E2, SIN15, ABSHALF, WALK):
+        for p in (StancuParams(7), StancuParams(100, 20.0, 30.0), StancuParams(1000, 4.7, 10.0)):
+            for c in (cfg, DEFAULT_CONFIG):
+                assert sup_error_and_distance(f, p, c) == (
+                    sup_error(f, p, c), operator_distance(f, p, c))
 
 
 def test_operator_distance_bounded_by_node_shift_modulus():

@@ -424,6 +424,15 @@ def test_converge_validates_degree_list(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--n", "--n-l"])
+def test_converge_rejects_degree_flag(flag):
+    # --n-list is the only degree input: --n must neither be ignored nor
+    # read as an abbreviation of --n-list
+    proc = run_module("converge", "--n-list", "10,20", flag, "7")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "unrecognized arguments" in proc.stderr
+
+
 # ------------------------------------------------------------------ env
 
 

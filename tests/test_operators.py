@@ -241,6 +241,60 @@ def test_batched_columns_equal_single_operator_evaluation(n):
                 assert (got[:, j] == evaluate(f, p, xs)).all()
 
 
+def full_recurrence(fn, xs):
+    """Reference kernel: the ratio recurrence over all n steps, no early exit.
+
+    The same operations in the same order as ``evaluate`` on the value
+    columns fn, shape (n+1, C); returns shape (len(xs), C).
+    """
+    n = fn.shape[0] - 1
+    ratios = [(n - k) / (k + 1.0) for k in range(n)]
+    out = np.empty((xs.size, fn.shape[1]))
+    out[xs == 0.0] = fn[0]
+    out[xs == 1.0] = fn[-1]
+    left = (xs > 0.0) & (xs <= 0.5)
+    right = (xs > 0.5) & (xs < 1.0)
+    for mask, u, vals in ((left, xs, fn), (right, 1.0 - xs, fn[::-1])):
+        if mask.any():
+            u = u[mask]
+            b = (1.0 - u) ** n
+            r = u / (1.0 - u)
+            acc = 0.0 + vals[0][:, None] * b
+            for v, c in zip(vals[1:], ratios):
+                b = b * r * c
+                acc = acc + v[:, None] * b
+            out[mask] = acc.T
+    return out
+
+
+EXIT_TABLES = (
+    FunctionSpec.builtin("sin15"),
+    FunctionSpec.builtin("abshalf"),
+    lambda t: np.zeros(t.size),
+    lambda t: 1e-300 * np.sin(15.0 * t),
+    lambda t: 1e300 * np.sin(15.0 * t),
+    lambda t: (-1.0) ** np.arange(t.size),  # alternating signs
+    lambda t: (np.arange(t.size) == t.size // 3).astype(float),  # one-hot spike
+)
+EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
+               1e-9, 0.25, 0.5, 0.5000000001, 0.999)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 100, 999, 1000, 1022])
+def test_early_exit_is_bit_identical_to_full_recurrence(n):
+    # the recurrence stops once no later term can change the sum; every
+    # value, batched over BATCH_PAIRS and single for (20, 30), must still
+    # equal the full n-step sum bit for bit
+    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
+    fns = [np.asarray(f(q.node_values()), dtype=float) for f in EXIT_TABLES for q in ps]
+    for xs in EXIT_POINTS:
+        want = full_recurrence(np.stack(fns, axis=1), np.reshape(xs, -1)).view(np.int64)
+        for i, f in enumerate(EXIT_TABLES):
+            cols = want[:, i * len(ps):(i + 1) * len(ps)]
+            assert (evaluate(f, ps, xs).view(np.int64) == cols).all()
+            assert (evaluate(f, ps[1], xs).view(np.int64) == cols[:, 1]).all()
+
+
 def test_batched_evaluation_needs_one_shared_degree():
     f = FunctionSpec.builtin("sin15")
     with pytest.raises(ValueError):
