@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import FunctionSpec, StancuParams, apply_operator_curve, evaluate
+from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = [
     "BoundConfig",
@@ -34,6 +34,7 @@ __all__ = [
     "RatioFamily",
     "Theorem4Report",
     "corollary2_bound",
+    "grid_slack",
     "modulus_of_continuity",
     "operator_distance",
     "sup_error",
@@ -48,6 +49,11 @@ DEFAULT_C1 = 1.0898873
 
 # t4 noise floor: a constant f has bound 0 while its distance carries rounding
 NOISE_FLOOR = 1e-12
+
+
+def _within(distances: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per t4 level: the distance is within its bound plus the noise floor."""
+    return distances <= bounds + NOISE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFA
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError("delta must be positive")
     m = cfg.mod_grid_size
-    grid = np.linspace(0.0, 1.0, m)
-    vals = np.asarray(f(grid), dtype=float)
+    vals = np.asarray(f(uniform_grid(m)), dtype=float)
     w = int(math.floor(delta * (m - 1)))
     if w <= 0:
         return 0.0
@@ -110,10 +115,23 @@ def grid_slack(f: FunctionSpec, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
     return modulus_of_continuity(f, cfg.mod_step, cfg)
 
 
+def _max_error(f: FunctionSpec, grid: np.ndarray, values: np.ndarray) -> float:
+    return float(np.abs(values - np.asarray(f(grid), dtype=float)).max())
+
+
 def sup_error(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
     """Grid maximum of |operator value - f|, the uniform-norm proxy."""
-    curve = apply_operator_curve(f, p, cfg.sup_grid_size)
-    return float(np.abs(curve.values - np.asarray(f(curve.grid), dtype=float)).max())
+    grid = uniform_grid(cfg.sup_grid_size)
+    return _max_error(f, grid, evaluate(f, p, grid))
+
+
+def _scan(f, p, cfg, error: bool) -> tuple[float | None, float]:
+    """(sup-error of p, or None unless ``error``, and p's distance from the
+    plain operator) over the sup grid; f is sampled there only for the error."""
+    grid = uniform_grid(cfg.sup_grid_size)
+    shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
+    sup = _max_error(f, grid, shifted) if error else None
+    return sup, float(np.abs(shifted - plain).max())
 
 
 def operator_distance(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
@@ -122,9 +140,7 @@ def operator_distance(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAU
     Every node moves by at most (alpha + beta)/(n + beta), so this is
     bounded by omega(f; (alpha + beta)/(n + beta)) plus grid slack.
     """
-    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
-    shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
-    return float(np.abs(shifted - plain).max())
+    return _scan(f, p, cfg, error=False)[1]
 
 
 def sup_error_and_distance(
@@ -136,12 +152,7 @@ def sup_error_and_distance(
     single batched ``evaluate`` yields both grid maxima, each
     bit-identical to its own function.
     """
-    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
-    shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
-    return (
-        float(np.abs(shifted - np.asarray(f(grid), dtype=float)).max()),
-        float(np.abs(shifted - plain).max()),
-    )
+    return _scan(f, p, cfg, error=True)
 
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
@@ -207,6 +218,15 @@ class Theorem4Report:
     monotone_decreasing: bool
 
     @property
+    def ok(self) -> bool:
+        return self.within_bound
+
+    @property
+    def failing_index(self) -> int | None:
+        """The first level over its bound, or None when the check passes."""
+        return None if self.ok else int(np.argmin(_within(self.distances, self.bounds)))
+
+    @property
     def final_distance(self) -> float:
         return float(self.distances[-1])
 
@@ -221,7 +241,7 @@ def theorem4_experiment(
     f_at_m = float(f(m))
     slack = grid_slack(f, cfg)
     levels = tuple(fam.levels())
-    grid = np.linspace(0.0, 1.0, cfg.sup_grid_size)
+    grid = uniform_grid(cfg.sup_grid_size)
     ps = tuple(StancuParams(int(n), a, b) for a, b in levels)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
     bounds = np.array([modulus_of_continuity(f, 2.0 * n / (n + b), cfg) + slack
@@ -232,6 +252,6 @@ def theorem4_experiment(
         levels=levels,
         distances=d,
         bounds=bounds,
-        within_bound=bool((d <= bounds + NOISE_FLOOR).all()),
+        within_bound=bool(_within(d, bounds).all()),
         monotone_decreasing=bool((np.diff(d) < 0.0).all()),
     )

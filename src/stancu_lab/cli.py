@@ -27,15 +27,14 @@ import numpy as np
 from .bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
-    NOISE_FLOOR,
     RatioFamily,
     corollary2_bound,
     sup_error_and_distance,
     theorem4_experiment,
 )
 from .figures import FIGURES, NODE_HEADER, build_figure, csv_rows, fmt, node_rows, with_overrides
-from .nodes import DIST_CUSHION, GAP_CUSHION, check_theorem1, check_theorem2, check_theorem3
-from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, evaluate
+from .nodes import check_theorem1, check_theorem2, check_theorem3
+from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = ["main"]
 
@@ -88,14 +87,6 @@ def _parse_list(raw: str, cast) -> list:
         raise ValueError(f"could not parse list {raw!r}") from None
 
 
-def _grid_slice(size: int, start: int, stop: int) -> np.ndarray:
-    """``np.linspace(0, 1, size)[start:stop]``, bit for bit."""
-    xs = np.arange(start, stop) * (1.0 / (size - 1))
-    if stop == size:
-        xs[-1] = 1.0
-    return xs
-
-
 def _eval_lines(f, ps, blocks):
     yield "x,f,bernstein,stancu"
     for xs in blocks:
@@ -109,13 +100,14 @@ def cmd_eval(args) -> int:
     if args.x is not None:
         probe = np.array([float(args.x)])
         blocks = [probe]
-    elif args.grid < 2:
-        raise ValueError("--grid must be an integer >= 2")
     else:
         size = args.grid
-        # the points nearest 1/2 have the smallest recurrence seeds
-        probe = _grid_slice(size, max(size // 2 - 2, 0), min(size // 2 + 2, size))
-        blocks = (_grid_slice(size, i, min(i + _BLOCK, size)) for i in range(0, size, _BLOCK))
+        try:
+            # the points nearest 1/2 have the smallest recurrence seeds
+            probe = uniform_grid(size, max(size // 2 - 2, 0), size // 2 + 2)
+        except ValueError as exc:
+            raise ValueError(f"--grid: {exc}") from None
+        blocks = (uniform_grid(size, i, i + _BLOCK) for i in range(0, size, _BLOCK))
     # a bad point or a too-large degree raises here, before --out is opened
     list(_eval_lines(f, ps, [probe]))
     _emit(_eval_lines(f, ps, blocks), args.out)
@@ -142,12 +134,11 @@ def _check_t1(args) -> int:
     for n, g, b in zip(report.degrees, report.max_gaps, report.bounds):
         lines.append(f"{n},{fmt(g)},{fmt(b)}")
     _emit(lines, args.out)
-    if not report.within_bound:
-        bad = int(np.argmax(report.max_gaps > report.bounds + GAP_CUSHION))
-        print(f"t1: FAIL at n={report.degrees[bad]}: max_gap exceeds bound", file=sys.stderr)
-        return 1
-    if not report.bounds_decreasing:
-        print("t1: FAIL: bound sequence is not strictly decreasing", file=sys.stderr)
+    if not report.ok:
+        why = "max_gap exceeds bound"
+        if report.within_bound:
+            why = "bound sequence is not strictly decreasing"
+        print(f"t1: FAIL at n={report.degrees[report.failing_index]}: {why}", file=sys.stderr)
         return 1
     print("t1: OK")
     return 0
@@ -160,9 +151,7 @@ def _check_t2(args) -> int:
     report = check_theorem2(p)
     _emit([NODE_HEADER] + node_rows(p), args.out)
     if not report.ok:
-        bad = report.stancu_dist > report.bernstein_dist + DIST_CUSHION
-        k = int(np.argmax(bad)) if bad.any() else 0
-        print(f"t2: FAIL at k={k}", file=sys.stderr)
+        print(f"t2: FAIL at k={report.failing_index}", file=sys.stderr)
         return 1
     crossings = ",".join(str(k) for k in report.crossing_indices) or "none"
     print(f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})")
@@ -206,9 +195,9 @@ def _check_t4(args) -> int:
     for j, ((a, b), d, bd) in enumerate(zip(report.levels, report.distances, report.bounds)):
         lines.append(f"{j},{fmt(a)},{fmt(b)},{fmt(d)},{fmt(bd)}")
     _emit(lines, args.out)
-    if not report.within_bound:
-        bad = int(np.argmax(report.distances > report.bounds + NOISE_FLOOR))
-        print(f"t4: FAIL at level {bad}: distance exceeds its bound", file=sys.stderr)
+    if not report.ok:
+        print(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound",
+              file=sys.stderr)
         return 1
     if args.epsilon is not None and not report.final_distance < args.epsilon:
         print(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import svg
-from .operators import FunctionSpec, StancuParams, evaluate
+from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = ["FIGURES", "FigureJob", "build_figure"]
 
@@ -90,10 +90,8 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
 
 def _curve_columns(job: FigureJob) -> tuple[list[str], list[list[float]]]:
     """Header and columns x, f, bernstein, stancu[, stancu2, stancu3]."""
-    if job.grid_size < 2:
-        raise ValueError("grid size must be an integer >= 2")
     f = FunctionSpec.builtin(job.function)
-    grid = np.linspace(0.0, 1.0, job.grid_size)
+    grid = uniform_grid(job.grid_size)
     header = ["x", "f", "bernstein"]
     header += ["stancu" if i == 0 else f"stancu{i + 1}" for i in range(len(job.pairs))]
     ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)

@@ -15,7 +15,9 @@ booleans:
   around m, with distance ratio (n + beta1)/(n + beta2)
   (``check_theorem3``).
 
-Reports are data, not prose; harnesses assert on their fields.
+Reports are data, not prose; harnesses assert on their fields. Each
+report answers ``ok`` (its verdict); the t1 and t2 reports also name
+their ``failing_index``, the first entry that breaks it (None when ok).
 """
 
 from __future__ import annotations
@@ -53,6 +55,26 @@ def _gaps(p: StancuParams) -> np.ndarray:
     return p.node_values() - StancuParams(p.n).node_values()
 
 
+def _t1_flags(max_gaps, bounds, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Per degree: the gap is within its bound, and the bound falls below the
+    previous one (is 0 when ``shift``, alpha + beta, is 0)."""
+    within = max_gaps <= bounds + GAP_CUSHION
+    falling = bounds == 0.0 if shift == 0.0 else np.diff(bounds, prepend=np.inf) < 0.0
+    return within, falling
+
+
+def _closer(stancu_dist, bernstein_dist) -> np.ndarray:
+    """Per node: the shifted node is no farther from m than the plain one (t2)."""
+    return stancu_dist <= bernstein_dist + DIST_CUSHION
+
+
+def _between(plain, outer, inner, m) -> np.ndarray:
+    """Per index whose plain node k/n is off m: ``inner`` lies strictly
+    between m and ``outer`` (t2, t3)."""
+    inside = np.where(plain > m, (m < inner) & (inner < outer), (outer < inner) & (inner < m))
+    return inside | (np.abs(plain - m) <= CROSSING_TOL)
+
+
 @dataclass(frozen=True, eq=False)
 class Theorem1Report:
     """Per-degree maximal node displacement against the (alpha+beta)/(n+beta) bound."""
@@ -68,6 +90,14 @@ class Theorem1Report:
     @property
     def ok(self) -> bool:
         return self.within_bound and self.bounds_decreasing
+
+    @property
+    def failing_index(self) -> int | None:
+        """The first degree over its bound, else the first whose bound does not
+        fall; None when the check passes."""
+        within, falling = _t1_flags(self.max_gaps, self.bounds, self.alpha + self.beta)
+        flags = falling if self.within_bound else within
+        return None if flags.all() else int(np.argmin(flags))
 
 
 def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
@@ -85,19 +115,15 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
         raise ValueError("n_sequence must be strictly increasing")
     max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
     bounds = np.array([(a + b) / (n + b) for n in degrees])
-    within = bool((max_gaps <= bounds + GAP_CUSHION).all())
-    if a + b == 0.0:
-        decreasing = bool((bounds == 0.0).all())
-    else:
-        decreasing = bool((np.diff(bounds) < 0.0).all())
+    within, falling = _t1_flags(max_gaps, bounds, a + b)
     return Theorem1Report(
         alpha=a,
         beta=b,
         degrees=degrees,
         max_gaps=max_gaps,
         bounds=bounds,
-        within_bound=within,
-        bounds_decreasing=decreasing,
+        within_bound=bool(within.all()),
+        bounds_decreasing=bool(falling.all()),
     )
 
 
@@ -125,6 +151,20 @@ class ClusterReport:
     def ok(self) -> bool:
         return self.inequality_holds and self.sign_pattern_holds
 
+    @property
+    def failing_index(self) -> int | None:
+        """The first node that breaks the inequality or the sign pattern;
+        None when the check passes."""
+        firsts = []
+        if not self.inequality_holds:
+            firsts.append(int(np.argmin(_closer(self.stancu_dist, self.bernstein_dist))))
+        if not self.sign_pattern_holds:
+            p = self.params
+            plain = StancuParams(p.n).node_values()
+            between = _between(plain, plain, p.node_values(), self.ratio_m)
+            firsts.append(int(np.argmin(between)))
+        return min(firsts, default=None)
+
 
 def check_theorem2(p: StancuParams) -> ClusterReport:
     """Check the contraction of the shifted nodes toward m = alpha/beta (beta > 0)."""
@@ -139,14 +179,6 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
     bern_dist = np.abs(plain - m)
     stan_dist = np.abs(shifted - m)
     identity_error = float(np.abs((shifted - m) - contraction * (plain - m)).max())
-    inequality = bool((stan_dist <= bern_dist + DIST_CUSHION).all())
-    off = bern_dist > CROSSING_TOL
-    above = off & (plain > m)
-    below = off & (plain < m)
-    sign_pattern = bool(
-        ((m < shifted[above]) & (shifted[above] < plain[above])).all()
-        and ((plain[below] < shifted[below]) & (shifted[below] < m)).all()
-    )
     crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
     return ClusterReport(
         params=p,
@@ -157,8 +189,8 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
         crossing_indices=crossings,
         contraction=contraction,
         identity_error=identity_error,
-        inequality_holds=inequality,
-        sign_pattern_holds=sign_pattern,
+        inequality_holds=bool(_closer(stan_dist, bern_dist).all()),
+        sign_pattern_holds=bool(_between(plain, plain, shifted, m).all()),
     )
 
 
@@ -214,13 +246,8 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     dist_identity = float(np.abs(dist2 - factor * dist1).max())
 
     off = np.abs(plain - m) > CROSSING_TOL
-    below = off & (plain < m)
-    above = off & (plain > m)
     if b2 > b1:
-        chain = bool(
-            ((nodes1[below] < nodes2[below]) & (nodes2[below] < m)).all()
-            and ((nodes1[above] > nodes2[above]) & (nodes2[above] > m)).all()
-        )
+        chain = bool(_between(plain, nodes1, nodes2, m).all())
         closer = bool((dist2[off] < dist1[off]).all())
     else:
         # identical ratios with equal beta mean identical families

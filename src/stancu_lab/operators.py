@@ -40,6 +40,7 @@ __all__ = [
     "basis_row",
     "evaluate",
     "moment_closed_form",
+    "uniform_grid",
 ]
 
 _BUILTIN_EVAL = {
@@ -146,27 +147,28 @@ class StancuParams:
         return (np.arange(self.n + 1) + self.alpha) / (self.n + self.beta)
 
 
+def uniform_grid(size: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """numpy's ``linspace(0, 1, size)[start:stop]``, bit for bit, for size >= 2.
+
+    The one uniform-grid formula: x_i = i * (1/(size - 1)), with the last
+    point exactly 1. A slice costs only its own points, so a large grid
+    can be built one block at a time.
+    """
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 2:
+        raise ValueError(f"grid size must be an integer >= 2, got {size!r}")
+    start, stop, _ = slice(start, stop).indices(size)
+    xs = np.arange(start, stop) * (1.0 / (size - 1))
+    if stop == size > start:
+        xs[-1] = 1.0
+    return xs
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
     """Function values over a uniform grid on [0, 1], endpoints included."""
 
     grid: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ValueError("grid and values must be equal-length 1-d arrays, size >= 2")
-        if grid[0] != 0.0 or grid[-1] != 1.0 or not (np.diff(grid) > 0.0).all():
-            raise ValueError("grid must increase strictly from 0 to 1")
-        h = 1.0 / (grid.size - 1)
-        if np.abs(np.diff(grid) - h).max() > 1e-12:
-            raise ValueError("grid must be uniform")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
 
 
 _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
@@ -276,9 +278,7 @@ def apply_operator(f: FunctionSpec, p: StancuParams, x: float) -> float:
 
 def apply_operator_curve(f: FunctionSpec, p: StancuParams, grid_size: int) -> SampledCurve:
     """Operator values over a uniform grid; pointwise identical to apply_operator."""
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
-        raise ValueError("grid_size must be an integer >= 2")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = uniform_grid(grid_size)
     return SampledCurve(grid=grid, values=evaluate(f, p, grid))
 
 

@@ -256,6 +256,7 @@ def test_collapse_experiment_sin15_levels_match_oracle():
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
     rep = theorem4_experiment(SIN15, 100, fam)
     assert rep.within_bound
+    assert rep.ok and rep.failing_index is None
     np.testing.assert_allclose(rep.distances, T4_LEVEL_DISTANCES, rtol=1e-9)
     # compressing nodes transiently deepens the smoothed oscillation: the
     # level distances are NOT monotone here (second exceeds first)
@@ -269,6 +270,20 @@ def test_collapse_experiment_reaches_the_limit():
     assert rep.within_bound
     assert rep.final_distance == pytest.approx(0.0056973273455782625, rel=1e-9)
     assert rep.final_distance < 0.01
+
+
+@given(
+    n=st.integers(1, 200),
+    beta0=st.floats(0.1, 100.0),
+    frac=st.floats(0.01, 0.99),
+    scales=st.lists(st.floats(0.1, 1000.0), min_size=1, max_size=4, unique=True),
+    fname=st.sampled_from(["e0", "e1", "e2", "sin15", "abshalf"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_collapse_report_protocol_property(n, beta0, frac, scales, fname):
+    fam = RatioFamily(frac * beta0, beta0, tuple(sorted(scales)))
+    rep = theorem4_experiment(FunctionSpec.builtin(fname), n, fam)
+    assert (rep.failing_index is None) == rep.ok
 
 
 def test_ratio_family_validation():

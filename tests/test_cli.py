@@ -269,6 +269,16 @@ def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     assert "FAIL at k=1" in err
 
 
+def test_check_t2_names_the_node_that_breaks_the_sign_pattern(capsys):
+    # k/(10 + 1e-300) rounds to k/10; node 0 sits at m = 0, node 1 is the
+    # first that does not move strictly toward m. Stdout is the node table.
+    argv = ("--n", "10", "--alpha", "0", "--beta", "1e-300")
+    rc, out, err = run(capsys, "check", "t2", *argv)
+    assert rc == 1
+    assert err == "t2: FAIL at k=1\n"
+    assert out == run(capsys, "nodes", *argv)[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--n", "5", "--x", "0.5"),
     ("nodes", "--n", "5"),

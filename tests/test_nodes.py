@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import (
+    ClusterReport,
     StancuParams,
+    Theorem1Report,
     check_theorem1,
     check_theorem2,
     check_theorem3,
@@ -68,7 +70,7 @@ def test_node_gap_identity_and_bound(p, k_frac):
 
 def test_theorem1_report_values():
     rep = check_theorem1(StancuParams(250, 20.0, 30.0), [25, 50, 100, 250])
-    assert rep.ok
+    assert rep.ok and rep.failing_index is None
     np.testing.assert_allclose(
         rep.bounds, [50.0 / 55.0, 50.0 / 80.0, 50.0 / 130.0, 50.0 / 280.0], rtol=0, atol=1e-15
     )
@@ -101,7 +103,7 @@ def test_theorem1_validation():
 @pytest.mark.parametrize("n", [25, 100])
 def test_theorem2_contraction(alpha, n):
     rep = check_theorem2(StancuParams(n, alpha, 100.0))
-    assert rep.ok
+    assert rep.ok and rep.failing_index is None
     assert rep.contraction == n / (n + 100.0)
     assert rep.identity_error <= 1e-14
     assert (rep.stancu_dist <= rep.bernstein_dist + 1e-15).all()
@@ -119,6 +121,15 @@ def test_theorem2_distances_scale_exactly():
     rep = check_theorem2(StancuParams(25, 17.0, 100.0))
     np.testing.assert_allclose(rep.stancu_dist, 0.2 * rep.bernstein_dist, rtol=0, atol=1e-15)
     assert rep.max_gap == pytest.approx(np.abs(0.8 * (np.arange(26) / 25 - 0.17)).max(), abs=1e-14)
+
+
+def test_theorem2_sign_pattern_names_the_first_node_off_m():
+    # k/(10 + 1e-300) rounds to k/10: no shifted node moves toward m = 0.
+    # Node 0 sits at m; node 1 is the first to break the strict pattern,
+    # while the distance inequality still holds everywhere.
+    rep = check_theorem2(StancuParams(10, 0.0, 1e-300))
+    assert rep.inequality_holds and not rep.sign_pattern_holds
+    assert rep.failing_index == 1
 
 
 def test_theorem2_requires_positive_beta():
@@ -170,3 +181,44 @@ def test_theorem3_validation():
         check_theorem3(StancuParams(100, 0.0, 0.0), p)  # beta1 = 0
     with pytest.raises(ValueError):
         check_theorem3(StancuParams(100, 47.0, 100.0), StancuParams(100, 4.7, 10.0))
+
+
+# ------------------------------------------------------ report protocol
+
+
+def test_failing_index_names_the_first_broken_entry():
+    # every gap within its bound, but the bound stops falling at degree 30
+    flat = Theorem1Report(
+        alpha=1.0, beta=2.0, degrees=(10, 20, 30), max_gaps=np.zeros(3),
+        bounds=np.array([0.3, 0.2, 0.2]), within_bound=True, bounds_decreasing=False,
+    )
+    assert flat.failing_index == 2
+    # both t2 verdicts broken: the earlier node is named
+    both = ClusterReport(
+        params=StancuParams(10, 0.0, 1e-300), ratio_m=0.0, bernstein_dist=np.full(11, 0.5),
+        stancu_dist=np.r_[np.full(5, 0.5), np.full(6, 0.75)], max_gap=0.0,
+        crossing_indices=(), contraction=1.0, identity_error=0.0,
+        inequality_holds=False, sign_pattern_holds=False,
+    )
+    assert both.failing_index == 1
+
+
+def assert_protocol(report):
+    # a report names a failing entry exactly when its verdict fails
+    assert (report.failing_index is None) == report.ok
+
+
+@given(p=params_strategy, more=st.lists(st.integers(1, 400), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_report_protocol_t1(p, more):
+    assert_protocol(check_theorem1(p, sorted({p.n, *more})))
+
+
+@given(
+    n=st.integers(1, 400),
+    b=st.floats(0.0, 1000.0, exclude_min=True),
+    frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_report_protocol_t2(n, b, frac):
+    assert_protocol(check_theorem2(StancuParams(n, frac * b, b)))

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from stancu_lab import (
     FunctionSpec,
-    SampledCurve,
     StancuParams,
     apply_operator,
     apply_operator_curve,
     basis_row,
     evaluate,
     moment_closed_form,
+    uniform_grid,
 )
 
 
@@ -320,12 +320,22 @@ def test_curve_validation():
     f = FunctionSpec.builtin("e0")
     with pytest.raises(ValueError):
         apply_operator_curve(f, StancuParams(3), 1)
-    with pytest.raises(ValueError):
-        SampledCurve(grid=np.array([0.0, 0.4, 1.0]), values=np.zeros(3))
-    with pytest.raises(ValueError):
-        SampledCurve(grid=np.array([0.0, 0.5, 0.9]), values=np.zeros(3))
-    with pytest.raises(ValueError):
-        SampledCurve(grid=np.linspace(0, 1, 5), values=np.zeros(4))
+
+
+@pytest.mark.parametrize("size", [2, 3, 101, 1001, 4097, 10001, 50001])
+def test_uniform_grid_is_linspace_bit_for_bit(size):
+    # the full grid and every 4096-point block, compared as int64 bits
+    want = np.linspace(0.0, 1.0, size).view(np.int64)
+    assert np.array_equal(uniform_grid(size).view(np.int64), want)
+    for start in range(0, size, 4096):
+        block = uniform_grid(size, start, start + 4096)
+        assert np.array_equal(block.view(np.int64), want[start:start + 4096])
+
+
+@pytest.mark.parametrize("size", [0, 1, -3, 2.5, True])
+def test_uniform_grid_rejects_sizes_below_two_and_non_integers(size):
+    with pytest.raises(ValueError, match="grid size"):
+        uniform_grid(size)
 
 
 # -------------------------------------------------------------- moments
