@@ -67,6 +67,8 @@ class BoundConfig:
     def __post_init__(self):
         if not (self.c1 > 0.0):
             raise ValueError("c1 must be positive")
+        for size in (self.mod_grid_size, self.sup_grid_size):
+            uniform_grid(size, 0, 0)  # the one grid-size rule: an integer >= 2
         if self.mod_grid_size < 101 or self.sup_grid_size < 101:
             raise ValueError("grid sizes must be >= 101")
 

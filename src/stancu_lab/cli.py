@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (pointwise or gridded operator values), ``nodes``
-(node listing with distances to m), ``check`` (t1..t4 node-geometry and
-limit checks), ``figure`` (reproduce figures f1..f10 as CSV + SVG) and
-``converge`` (sup-error scan along a degree sweep).
+(node listing with distances to m), ``check t1`` .. ``check t4``
+(node-geometry and limit checks), ``figure`` (reproduce figures f1..f10
+as CSV + SVG) and ``converge`` (sup-error scan along a degree sweep).
+Each subcommand accepts exactly the flags it reads.
 
 Exit codes: 0 success, 1 a checked assertion failed, 2 usage or
 validation error. CSV goes to stdout unless ``--out`` names a file; the
@@ -101,7 +102,7 @@ def cmd_eval(args) -> int:
         probe = np.array([float(args.x)])
         blocks = [probe]
     else:
-        size = args.grid
+        size = 101 if args.grid is None else args.grid
         try:
             # the points nearest 1/2 have the smallest recurrence seeds
             probe = uniform_grid(size, max(size // 2 - 2, 0), size // 2 + 2)
@@ -121,19 +122,12 @@ def cmd_nodes(args) -> int:
 
 
 def _check_t1(args) -> int:
-    if args.n_list:
-        degrees = _parse_list(args.n_list, int)
-    elif args.n is not None:
-        degrees = [args.n]
-    else:
-        raise ValueError("t1 needs --n or --n-list")
+    degrees = [args.n] if args.n is not None else _parse_list(args.n_list, int)
     if not degrees:
         raise ValueError("--n-list must hold at least one degree")
     report = check_theorem1(StancuParams(max(degrees), args.alpha, args.beta), degrees)
-    lines = ["n,max_gap,bound"]
-    for n, g, b in zip(report.degrees, report.max_gaps, report.bounds):
-        lines.append(f"{n},{fmt(g)},{fmt(b)}")
-    _emit(lines, args.out)
+    cols = [report.degrees, report.max_gaps.tolist(), report.bounds.tolist()]
+    _emit(["n,max_gap,bound"] + csv_rows(cols), args.out)
     if not report.ok:
         why = "max_gap exceeds bound"
         if report.within_bound:
@@ -145,8 +139,6 @@ def _check_t1(args) -> int:
 
 
 def _check_t2(args) -> int:
-    if args.n is None:
-        raise ValueError("t2 needs --n")
     p = StancuParams(args.n, args.alpha, args.beta)
     report = check_theorem2(p)
     _emit([NODE_HEADER] + node_rows(p), args.out)
@@ -159,8 +151,8 @@ def _check_t2(args) -> int:
 
 
 def _check_t3(args) -> int:
-    if args.n is None or len(args.pair or []) < 2:
-        raise ValueError("t3 needs --n and at least two --pair alpha,beta")
+    if len(args.pair) < 2:
+        raise ValueError("t3 needs at least two --pair alpha,beta")
     params = [StancuParams(args.n, *_parse_pair(raw)) for raw in args.pair]
     # every pair is validated before anything is written
     reports = [check_theorem3(p1, p2) for p1, p2 in zip(params, params[1:])]
@@ -183,18 +175,15 @@ def _check_t3(args) -> int:
 
 
 def _check_t4(args) -> int:
-    if args.n is None:
-        raise ValueError("t4 needs --n")
     if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
         raise ValueError("--epsilon must be positive and finite")
     f = FunctionSpec.builtin(args.function)
     scales = _parse_list(args.scales, float)
     fam = RatioFamily(args.alpha, args.beta, tuple(scales))
     report = theorem4_experiment(f, args.n, fam, _env_config())
-    lines = ["level,alpha,beta,distance,bound"]
-    for j, ((a, b), d, bd) in enumerate(zip(report.levels, report.distances, report.bounds)):
-        lines.append(f"{j},{fmt(a)},{fmt(b)},{fmt(d)},{fmt(bd)}")
-    _emit(lines, args.out)
+    cols = [range(len(report.levels)), *zip(*report.levels),
+            report.distances.tolist(), report.bounds.tolist()]
+    _emit(["level,alpha,beta,distance,bound"] + csv_rows(cols), args.out)
     if not report.ok:
         print(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound",
               file=sys.stderr)
@@ -208,10 +197,6 @@ def _check_t4(args) -> int:
         return 1
     print(f"t4: OK (final distance {fmt(report.final_distance)} at f(m)={fmt(report.f_at_m)})")
     return 0
-
-
-def cmd_check(args) -> int:
-    return {"t1": _check_t1, "t2": _check_t2, "t3": _check_t3, "t4": _check_t4}[args.theorem](args)
 
 
 def cmd_figure(args) -> int:
@@ -241,33 +226,40 @@ def cmd_converge(args) -> int:
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("--n-list must be non-empty and strictly increasing")
     cfg = _env_config()
-    lines = ["n,sup_error,operator_distance,corollary2_bound,t1_bound"]
     rows = []
     for n in degrees:
         p = StancuParams(n, args.alpha, args.beta)
-        row = (
+        rows.append((
             *sup_error_and_distance(f, p, cfg),
             corollary2_bound(f, p, cfg),
             (args.alpha + args.beta) / (n + args.beta),
-        )
-        rows.append((n, row))
-        lines.append(f"{n}," + ",".join(fmt(v) for v in row))
-    _emit(lines, args.out)
-    for n, (sup, _, bound, _) in rows:
+        ))
+    header = "n,sup_error,operator_distance,corollary2_bound,t1_bound"
+    _emit([header] + csv_rows([degrees, *zip(*rows)]), args.out)
+    for n, (sup, _, bound, _) in zip(degrees, rows):
         if sup > bound + 1e-9:
             print(f"converge: FAIL at n={n}: sup_error exceeds corollary2_bound", file=sys.stderr)
             return 1
     return 0
 
 
-def _add_common(sub, function=True, degree=True):
-    if function:
-        sub.add_argument("--function", choices=BUILTIN_FUNCTIONS, default="sin15")
-    if degree:
-        sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=0.0)
-    sub.add_argument("--out", default=None, help="write CSV here instead of stdout")
+# The flags several subcommands share, each declared once.
+_FLAGS = {
+    "--function": dict(choices=BUILTIN_FUNCTIONS, default="sin15"),
+    "--n": dict(type=int, required=True),
+    "--alpha": dict(type=float, default=0.0),
+    "--beta": dict(type=float, default=0.0),
+    "--out": dict(default=None, help="write CSV here instead of stdout"),
+}
+
+
+def _command(subs, name: str, func, flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A sub-parser that runs ``func`` and takes the shared ``flags`` named."""
+    s = subs.add_parser(name, **kwargs)
+    for flag in flags.split():
+        s.add_argument(flag, **_FLAGS[flag])
+    s.set_defaults(func=func)
+    return s
 
 
 @functools.cache
@@ -280,24 +272,29 @@ def _parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("eval", help="operator values at a point or over a grid")
-    _add_common(s)
-    s.add_argument("--x", type=float, default=None)
-    s.add_argument("--grid", type=int, default=101)
-    s.set_defaults(func=cmd_eval)
+    s = _command(subs, "eval", cmd_eval, "--function --n --alpha --beta --out",
+                 help="operator values at a point or over a grid")
+    # no parser default for --grid: argparse skips the conflict check for a
+    # value that is the default object, and int("101") is the cached 101
+    g = s.add_mutually_exclusive_group()
+    g.add_argument("--x", type=float)
+    g.add_argument("--grid", type=int, help="grid size (default 101)")
 
-    s = subs.add_parser("nodes", help="node listing with gaps and distances to m")
-    _add_common(s, function=False)
-    s.set_defaults(func=cmd_nodes)
+    _command(subs, "nodes", cmd_nodes, "--n --alpha --beta --out",
+             help="node listing with gaps and distances to m")
 
-    s = subs.add_parser("check", help="run one of the t1..t4 checks")
-    s.add_argument("theorem", choices=("t1", "t2", "t3", "t4"))
-    _add_common(s)
-    s.add_argument("--n-list", default=None, help="comma list of degrees (t1)")
-    s.add_argument("--pair", action="append", default=None, help="alpha,beta (t3; repeat)")
-    s.add_argument("--scales", default="1,10,100", help="comma list of scale factors (t4)")
-    s.add_argument("--epsilon", type=float, default=None, help="final-distance target (t4)")
-    s.set_defaults(func=cmd_check)
+    checks = subs.add_parser("check", help="run one of the t1..t4 checks")
+    checks = checks.add_subparsers(dest="theorem", required=True)
+    s = _command(checks, "t1", _check_t1, "--alpha --beta --out")
+    g = s.add_mutually_exclusive_group(required=True)
+    g.add_argument("--n", type=int)
+    g.add_argument("--n-list", help="comma list of degrees, increasing")
+    _command(checks, "t2", _check_t2, "--n --alpha --beta --out")
+    s = _command(checks, "t3", _check_t3, "--n --out")
+    s.add_argument("--pair", action="append", required=True, help="alpha,beta (repeat)")
+    s = _command(checks, "t4", _check_t4, "--function --n --alpha --beta --out")
+    s.add_argument("--scales", default="1,10,100", help="comma list of scale factors")
+    s.add_argument("--epsilon", type=float, help="final-distance target")
 
     s = subs.add_parser("figure", help="reproduce a figure as CSV + SVG")
     s.add_argument("figure_id", metavar="figure-id", help="f1..f10")
@@ -310,10 +307,9 @@ def _parser() -> argparse.ArgumentParser:
 
     # --n-list sets the degrees. Without --n and without abbreviations, a
     # stray --n is rejected instead of being ignored or read as --n-list.
-    s = subs.add_parser("converge", help="sup-error scan over a degree sweep", allow_abbrev=False)
-    _add_common(s, degree=False)
+    s = _command(subs, "converge", cmd_converge, "--function --alpha --beta --out",
+                 help="sup-error scan over a degree sweep", allow_abbrev=False)
     s.add_argument("--n-list", required=True, help="comma list of degrees, increasing")
-    s.set_defaults(func=cmd_converge)
 
     return parser
 

@@ -37,7 +37,6 @@ __all__ = [
     "StancuParams",
     "apply_operator",
     "apply_operator_curve",
-    "basis_row",
     "evaluate",
     "moment_closed_form",
     "uniform_grid",
@@ -68,29 +67,27 @@ class FunctionSpec:
     """A named real-valued function on exactly [0, 1].
 
     Either a builtin analytic function (``e0``, ``e1``, ``e2``, ``sin15``
-    for sin(15x), ``abshalf`` for |x - 1/2|) or a tabulated one given by
-    samples, evaluated with linear interpolation between them. Calling the
-    spec outside [0, 1] raises ValueError.
+    for sin(15x), ``abshalf`` for |x - 1/2|), exactly when ``samples`` is
+    None, or a tabulated one given by samples, evaluated with linear
+    interpolation between them. Calling the spec outside [0, 1] raises
+    ValueError.
     """
 
     name: str
-    kind: str
     samples: tuple[tuple[float, float], ...] | None = None
     # read-only (abscissae, values) rows built once from samples
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "builtin":
+        if self.samples is None:
             if self.name not in _BUILTIN_EVAL:
                 raise ValueError(
                     f"unknown builtin function {self.name!r}; "
                     f"choose one of {', '.join(BUILTIN_FUNCTIONS)}"
                 )
-            if self.samples is not None:
-                raise ValueError("builtin functions carry no samples")
-        elif self.kind == "tabulated":
-            if self.samples is None or len(self.samples) < 2:
-                raise ValueError("tabulated functions need at least 2 samples")
+        elif len(self.samples) < 2:
+            raise ValueError("tabulated functions need at least 2 samples")
+        else:
             table = np.array(self.samples, dtype=float).T.copy()
             table.setflags(write=False)
             xs, ys = table
@@ -101,22 +98,20 @@ class FunctionSpec:
             if not (np.diff(xs) > 0.0).all():
                 raise ValueError("sample abscissae must be strictly increasing")
             object.__setattr__(self, "_table", table)
-        else:
-            raise ValueError(f"kind must be 'builtin' or 'tabulated', got {self.kind!r}")
 
     @staticmethod
     def builtin(name: str) -> "FunctionSpec":
-        return FunctionSpec(name=name, kind="builtin")
+        return FunctionSpec(name=name)
 
     @staticmethod
     def tabulated(name, xs, ys) -> "FunctionSpec":
         """Build a piecewise-linear function from parallel abscissa/value arrays."""
         pts = tuple((float(a), float(b)) for a, b in zip(xs, ys, strict=True))
-        return FunctionSpec(name=name, kind="tabulated", samples=pts)
+        return FunctionSpec(name=name, samples=pts)
 
     def __call__(self, x):
         arr = _as_unit_interval(x, what=f"argument of {self.name}")
-        if self.kind == "builtin":
+        if self.samples is None:
             out = _BUILTIN_EVAL[self.name](arr)
         else:
             out = np.interp(arr, *self._table)
@@ -261,14 +256,6 @@ def evaluate(f, p, xs) -> np.ndarray:
     if right.any():
         out[right] = _stream(steps[::-1], ratios, 1.0 - xs[right], fmax).T
     return out
-
-
-def basis_row(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at one point; non-negative, sums to 1.
-
-    Entry k is the operator image of the unit vector e_k at the nodes.
-    """
-    return evaluate(lambda t: np.eye(t.size), StancuParams(n), float(x))[0]
 
 
 def apply_operator(f: FunctionSpec, p: StancuParams, x: float) -> float:

@@ -320,6 +320,10 @@ def test_bound_config_validation():
         BoundConfig(mod_grid_size=50)
     with pytest.raises(ValueError):
         BoundConfig(sup_grid_size=100)
+    with pytest.raises(ValueError):
+        BoundConfig(mod_grid_size=10001.0)
+    with pytest.raises(ValueError):
+        BoundConfig(sup_grid_size=1001.5)
     cfg = BoundConfig()
     assert cfg.mod_step == pytest.approx(1e-4)
     assert cfg.sup_step == pytest.approx(1e-3)

@@ -160,8 +160,8 @@ def test_check_t1_trivial_and_sweep(capsys):
 
 
 def test_check_t1_needs_degrees(capsys):
-    rc, _, err = run(capsys, "check", "t1", "--alpha", "1", "--beta", "2")
-    assert rc == 2 and "--n" in err
+    proc = run_module("check", "t1", "--alpha", "1", "--beta", "2")
+    assert proc.returncode == 2 and "--n" in proc.stderr
     rc, out, err = run(capsys, "check", "t1", "--alpha", "1", "--beta", "2", "--n-list", ",")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "--n-list" in err
@@ -295,6 +295,26 @@ def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: cannot write ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--alpha", ("check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4",
+                 "--alpha", "5", "--beta", "1")),
+    ("--n-list", ("check", "t1", "--n", "10", "--n-list", "25,50")),
+    ("--function", ("check", "t1", "--n", "10", "--function", "e2")),
+    ("--epsilon", ("check", "t2", "--n", "10", "--alpha", "1", "--beta", "2",
+                   "--epsilon", "-1")),
+    ("--grid", ("eval", "--n", "5", "--x", "0.5", "--grid", "1")),
+    ("--grid", ("eval", "--n", "5", "--x", "0.5", "--grid", "101")),
+    ("--pair", ("check", "t4", "--n", "10", "--alpha", "1", "--beta", "2", "--pair", "1,2")),
+], ids=["t3-shifts", "t1-both-degrees", "t1-function", "t2-epsilon", "eval-x-grid",
+        "eval-x-default-grid", "t4-pair"])
+def test_flag_the_command_does_not_read_is_a_usage_error(flag, argv):
+    # argparse exits in process, so each argv runs in a child
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr.splitlines()[-1]
 
 
 # --------------------------------------------------------------- figure
