@@ -159,7 +159,7 @@ def sup_error_and_distance(
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
     """Two-term upper estimate omega(f; (a+b)/(n+b)) + c1 * omega(f; n**-0.5)."""
-    shift = (p.alpha + p.beta) / (p.n + p.beta)
+    shift = p.displacement_bound()
     term1 = modulus_of_continuity(f, shift, cfg) if shift > 0.0 else 0.0
     term2 = cfg.c1 * modulus_of_continuity(f, p.n ** -0.5, cfg)
     return term1 + term2

@@ -232,7 +232,7 @@ def cmd_converge(args) -> int:
         rows.append((
             *sup_error_and_distance(f, p, cfg),
             corollary2_bound(f, p, cfg),
-            (args.alpha + args.beta) / (n + args.beta),
+            p.displacement_bound(),
         ))
     header = "n,sup_error,operator_distance,corollary2_bound,t1_bound"
     _emit([header] + csv_rows([degrees, *zip(*rows)]), args.out)

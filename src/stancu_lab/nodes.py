@@ -114,7 +114,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
         raise ValueError("n_sequence must be strictly increasing")
     max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
-    bounds = np.array([(a + b) / (n + b) for n in degrees])
+    bounds = np.array([q.displacement_bound() for q in params])
     within, falling = _t1_flags(max_gaps, bounds, a + b)
     return Theorem1Report(
         alpha=a,

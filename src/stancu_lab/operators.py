@@ -17,10 +17,12 @@ updates the basis once per step for all. Points x > 1/2 run the
 recurrence at 1 - x over the node values in reverse, so it always starts
 from its well-conditioned end and (1 - x)**n never underflows for the
 supported degree range. The weights sit within a few sqrt(n x (1 - x))
-of k = n x, so the recurrence stops as soon as no remaining term can
-change a bit of the running sum at any point: the result is
-bit-identical to running all n steps, which a zero running sum always
-does.
+of k = n x, so the recurrence, stepped in k and vectorised across
+points, stops as soon as no remaining term can change a bit of the
+running sum at any point: the result is bit-identical to running all n
+steps, which a zero running sum always does. One point runs the same
+operations in the same order as two ufunc accumulates along k (n = 1000:
+0.06 ms a call, not 1 ms); on a 1001-point grid the loop is 5-10x faster.
 """
 
 from __future__ import annotations
@@ -141,6 +143,16 @@ class StancuParams:
         """The n+1 sample points (k + alpha)/(n + beta), k = 0..n."""
         return (np.arange(self.n + 1) + self.alpha) / (self.n + self.beta)
 
+    def displacement_bound(self) -> float:
+        """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
+
+        Split into two quotients only where alpha + beta overflows, so the
+        bound stays finite (about 2 for shifts near the float maximum).
+        """
+        d = self.n + self.beta
+        s = self.alpha + self.beta
+        return s / d if math.isfinite(s) else self.alpha / d + self.beta / d
+
 
 def uniform_grid(size: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """numpy's ``linspace(0, 1, size)[start:stop]``, bit for bit, for size >= 2.
@@ -170,32 +182,43 @@ _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
 _CHECK_EVERY = 4
 
 
-def _stream(steps: list, ratios: list, u: np.ndarray, fmax: float) -> np.ndarray:
-    """sum_k steps[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
+def _stream(fn: np.ndarray, steps: list, u: np.ndarray, fmax: float) -> np.ndarray:
+    """sum_k fn[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
-    ``steps[k]`` holds the node value at k of every column: a Python
-    float for one column, a (C, 1) array for C columns (the result is
-    then (C, len(u))). ``ratios[k]`` is (n - k)/(k + 1) and ``fmax``
-    bounds |steps[k]| for every k. Forward ratio recurrence from the seed
-    (1 - u)**n, accumulated in ascending k; the basis is updated once per
-    step for all columns. It stops once no remaining term can change the
-    sum at any point or column, so the result is bit-identical to the
-    full n steps. Degrees large enough to underflow the seed are rejected
-    rather than silently returning zeros.
+    ``fn`` holds the n+1 node values, shape (n+1,) or (n+1, C) for C
+    columns (the result is then (C, len(u))), and ``fmax`` bounds |fn|.
+    ``steps`` lists the rows of fn as the stepped loop multiplies them: a
+    Python float for one column, a (C, 1) array for C columns; one point
+    does not read it. Forward ratio recurrence b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from
+    the seed (1 - u)**n, accumulated in ascending k; the basis is updated
+    once per step for all columns. One point runs the recurrence and the
+    sum as two ufunc accumulates along k; wider streams step k in Python,
+    vectorised across points, and stop once no remaining term can change
+    the sum at any point or column. Either way the result is bit-identical
+    to the full n steps. Degrees large enough to underflow the seed are
+    rejected rather than silently returning zeros.
     """
-    n = len(ratios)
+    n = fn.shape[0] - 1
     b = (1.0 - u) ** n
     if float(b.min()) < _TINY:
         raise ValueError(f"degree n={n} too large for float64 basis recurrence")
     r = u / (1.0 - u)
+    ratios = np.arange(n, 0, -1) / np.arange(1.0, n + 1)  # (n - k)/(k + 1)
+    if u.size == 1:
+        # Every other entry of the running product of [seed, r, c_1, r,
+        # c_2, ...] is (b_{k-1} r) c_k, the loop's products in its order;
+        # the 0.0 + seed keeps the loop's sign of a zero sum.
+        fac = np.empty(2 * n + 1)
+        fac[0], fac[1::2], fac[2::2] = b[0], r[0], ratios
+        terms = (fn.T * np.multiply.accumulate(fac)[::2]).T
+        terms[0] = 0.0 + terms[0]
+        return np.add.accumulate(terms)[-1:].T
     acc = 0.0 + steps[0] * b
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
-    # out-of-place: numpy's in-place operators with a Python scalar cost
-    # about twice as much per call on one-point arrays
-    for k, (v, c) in enumerate(zip(steps[1:], ratios), 1):
+    for k, (v, c) in enumerate(zip(steps[1:], ratios.tolist()), 1):
         b = b * r * c
         acc = acc + v * b
         # Exact stop. This step used ratio c, and every later step
@@ -240,21 +263,21 @@ def evaluate(f, p, xs) -> np.ndarray:
     ps = (p,) if isinstance(p, StancuParams) else tuple(p)
     if not ps or any(q.n != ps[0].n for q in ps):
         raise ValueError("operators evaluated together must share one degree")
-    n = ps[0].n
     cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
     fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
     fmax = float(np.abs(fn).max())
-    steps = fn.tolist() if fn.ndim == 1 else list(fn[:, :, None])
-    ratios = [(n - k) / (k + 1.0) for k in range(n)]
+    steps = []  # a one-point call never steps
+    if xs.size > 1:  # once for both halves: per half, 7 columns ran ~15% slower
+        steps = fn.tolist() if fn.ndim == 1 else list(fn[:, :, None])
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]
     left = (xs > 0.0) & (xs <= 0.5)
     right = (xs > 0.5) & (xs < 1.0)
     if left.any():
-        out[left] = _stream(steps, ratios, xs[left], fmax).T
+        out[left] = _stream(fn, steps, xs[left], fmax).T
     if right.any():
-        out[right] = _stream(steps[::-1], ratios, 1.0 - xs[right], fmax).T
+        out[right] = _stream(fn[::-1], steps[::-1], 1.0 - xs[right], fmax).T
     return out
 
 

@@ -206,6 +206,8 @@ def test_criterion_08_classical_rate_window():
         # The recurrence may stop before step n once no later term can
         # change the sum; the value is then bit-identical to the full sum,
         # so 4n + 6 is an upper bound on the operations and eps_n holds.
+        # A single point runs as two accumulates along k that perform the
+        # same 4n + 5 operations in the same order, so eps_n is unchanged.
         eps = _gamma(4 * n + 6) * (0.25 + 1.0 / (4 * n))
         got = sup_error(E["e2"], StancuParams(n, 0.0, 0.0))
         inside = float(top) - 2.0 * h <= got <= float(top) + eps

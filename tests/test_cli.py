@@ -159,6 +159,19 @@ def test_check_t1_trivial_and_sweep(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "t1", "--n-list", "5"),
+    ("converge", "--n-list", "5,10", "--function", "e1"),
+])
+def test_shifts_near_the_float_maximum_keep_a_finite_bound(capsys, argv):
+    # alpha + beta overflows; (alpha + beta)/(n + beta) is still 2
+    rc, out, _ = run(capsys, *argv, "--alpha", "1e308", "--beta", "1e308")
+    assert rc == 0
+    header, rows = csv_rows(out)
+    column = header.index("bound" if argv[0] == "check" else "t1_bound")
+    assert [float(r[column]) for r in rows] == [2.0] * len(rows)
+
+
 def test_check_t1_needs_degrees(capsys):
     proc = run_module("check", "t1", "--alpha", "1", "--beta", "2")
     assert proc.returncode == 2 and "--n" in proc.stderr
