@@ -84,19 +84,14 @@ class BoundConfig:
 DEFAULT_CONFIG = BoundConfig()
 
 
-def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
-    """omega(f; delta): max |f(x1) - f(x2)| over grid pairs with |x1 - x2| <= delta.
+def _samples(f: FunctionSpec, cfg: BoundConfig) -> np.ndarray:
+    """f on the modulus grid: each caller samples once and scans as often as it needs."""
+    return np.asarray(f(uniform_grid(cfg.mod_grid_size)), dtype=float)
 
-    The answer is the largest (window max - window min) over all windows
-    of w + 1 consecutive grid points, where w = floor(delta * (m - 1))
-    grid steps fit into delta. Window extremes are built by doubling spans
-    in numpy; max and min never round, so the result is exact on the grid.
-    Monotone non-decreasing in delta and at most the global oscillation.
-    """
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise ValueError("delta must be positive")
-    m = cfg.mod_grid_size
-    vals = np.asarray(f(uniform_grid(m)), dtype=float)
+
+def _modulus(vals: np.ndarray, delta: float) -> float:
+    """``modulus_of_continuity`` for a positive finite delta, from the samples ``vals``."""
+    m = vals.size
     w = int(math.floor(delta * (m - 1)))
     if w <= 0:
         return 0.0
@@ -110,6 +105,20 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFA
         lo = np.minimum(lo[:-step], lo[step:])
         span += step
     return float((hi - lo).max())
+
+
+def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+    """omega(f; delta): max |f(x1) - f(x2)| over grid pairs with |x1 - x2| <= delta.
+
+    The answer is the largest (window max - window min) over all windows
+    of w + 1 consecutive grid points, where w = floor(delta * (m - 1))
+    grid steps fit into delta. Window extremes are built by doubling spans
+    in numpy; max and min never round, so the result is exact on the grid.
+    Monotone non-decreasing in delta and at most the global oscillation.
+    """
+    if not (delta > 0.0) or not math.isfinite(delta):
+        raise ValueError("delta must be positive")
+    return _modulus(_samples(f, cfg), delta)
 
 
 def grid_slack(f: FunctionSpec, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
@@ -159,9 +168,10 @@ def sup_error_and_distance(
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
     """Two-term upper estimate omega(f; (a+b)/(n+b)) + c1 * omega(f; n**-0.5)."""
+    vals = _samples(f, cfg)
     shift = p.displacement_bound()
-    term1 = modulus_of_continuity(f, shift, cfg) if shift > 0.0 else 0.0
-    term2 = cfg.c1 * modulus_of_continuity(f, p.n ** -0.5, cfg)
+    term1 = _modulus(vals, shift) if shift > 0.0 else 0.0
+    term2 = cfg.c1 * _modulus(vals, p.n ** -0.5)
     return term1 + term2
 
 
@@ -241,13 +251,13 @@ def theorem4_experiment(
         raise ValueError("n must be a positive integer")
     m = fam.ratio_m
     f_at_m = float(f(m))
-    slack = grid_slack(f, cfg)
+    vals = _samples(f, cfg)
+    slack = _modulus(vals, cfg.mod_step)
     levels = tuple(fam.levels())
     grid = uniform_grid(cfg.sup_grid_size)
     ps = tuple(StancuParams(int(n), a, b) for a, b in levels)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
-    bounds = np.array([modulus_of_continuity(f, 2.0 * n / (n + b), cfg) + slack
-                       for _, b in levels])
+    bounds = np.array([_modulus(vals, 2.0 * n / (n + b)) + slack for _, b in levels])
     return Theorem4Report(
         ratio_m=m,
         f_at_m=f_at_m,

@@ -23,6 +23,7 @@ their ``failing_index``, the first entry that breaks it (None when ok).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,11 +56,15 @@ def _gaps(p: StancuParams) -> np.ndarray:
     return p.node_values() - StancuParams(p.n).node_values()
 
 
-def _t1_flags(max_gaps, bounds, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Per degree: the gap is within its bound, and the bound falls below the
-    previous one (is 0 when ``shift``, alpha + beta, is 0)."""
+def _t1_flags(max_gaps, bounds, degrees, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Per degree: the gap is within its float bound, and the exact bound
+    (alpha + beta)/(n + beta) falls below the previous one (or is 0, when
+    alpha + beta is 0). The fall is decided on rationals: for large beta the
+    float bounds of neighbouring degrees round to the same value."""
     within = max_gaps <= bounds + GAP_CUSHION
-    falling = bounds == 0.0 if shift == 0.0 else np.diff(bounds, prepend=np.inf) < 0.0
+    a, b = Fraction(alpha), Fraction(beta)
+    exact = [(a + b) / (n + b) for n in degrees]
+    falling = np.array([e == 0 or e < prev for prev, e in zip([np.inf] + exact, exact)])
     return within, falling
 
 
@@ -95,7 +100,7 @@ class Theorem1Report:
     def failing_index(self) -> int | None:
         """The first degree over its bound, else the first whose bound does not
         fall; None when the check passes."""
-        within, falling = _t1_flags(self.max_gaps, self.bounds, self.alpha + self.beta)
+        within, falling = _t1_flags(self.max_gaps, self.bounds, self.degrees, self.alpha, self.beta)
         flags = falling if self.within_bound else within
         return None if flags.all() else int(np.argmin(flags))
 
@@ -115,7 +120,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
         raise ValueError("n_sequence must be strictly increasing")
     max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
     bounds = np.array([q.displacement_bound() for q in params])
-    within, falling = _t1_flags(max_gaps, bounds, a + b)
+    within, falling = _t1_flags(max_gaps, bounds, degrees, a, b)
     return Theorem1Report(
         alpha=a,
         beta=b,

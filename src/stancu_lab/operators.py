@@ -22,7 +22,10 @@ points, stops as soon as no remaining term can change a bit of the
 running sum at any point: the result is bit-identical to running all n
 steps, which a zero running sum always does. One point runs the same
 operations in the same order as two ufunc accumulates along k (n = 1000:
-0.06 ms a call, not 1 ms); on a 1001-point grid the loop is 5-10x faster.
+0.06 ms a call, not 1 ms). A grid steps its two halves as the two rows of
+one stream over preallocated arrays updated in place, the same roundings
+in the same order (n = 1000, 1001 points: 2.0 ms, not 2.7 ms, on a 2-core
+Xeon); accumulating such a grid along k was 5-10x slower.
 """
 
 from __future__ import annotations
@@ -182,23 +185,24 @@ _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
 _CHECK_EVERY = 4
 
 
-def _stream(fn: np.ndarray, steps: list, u: np.ndarray, fmax: float) -> np.ndarray:
+def _stream(fn: np.ndarray, u: np.ndarray, fmax: float) -> np.ndarray:
     """sum_k fn[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
     ``fn`` holds the n+1 node values, shape (n+1,) or (n+1, C) for C
     columns (the result is then (C, len(u))), and ``fmax`` bounds |fn|.
-    ``steps`` lists the rows of fn as the stepped loop multiplies them: a
-    Python float for one column, a (C, 1) array for C columns; one point
-    does not read it. Forward ratio recurrence b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from
-    the seed (1 - u)**n, accumulated in ascending k; the basis is updated
-    once per step for all columns. One point runs the recurrence and the
-    sum as two ufunc accumulates along k; wider streams step k in Python,
-    vectorised across points, and stop once no remaining term can change
-    the sum at any point or column. Either way the result is bit-identical
-    to the full n steps. Degrees large enough to underflow the seed are
-    rejected rather than silently returning zeros.
+    A stream of R rows takes u (R, W) and fn (n+1, R[, C]), row j over
+    fn[:, j], and returns (R[, C], W). Forward ratio recurrence
+    b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from the seed (1 - u)**n,
+    accumulated in ascending k; the basis is updated once per step for all
+    columns. One point runs the recurrence and the sum as two ufunc
+    accumulates along k; wider streams step k in Python, in place and
+    vectorised across rows and points, and stop once no remaining term can
+    change the sum at any point or column. Either way the result is
+    bit-identical to the full n steps. Degrees large enough to underflow
+    the seed are rejected rather than silently returning zeros.
     """
     n = fn.shape[0] - 1
+    u = u[:, None] if fn.ndim == 3 else u
     b = (1.0 - u) ** n
     if float(b.min()) < _TINY:
         raise ValueError(f"degree n={n} too large for float64 basis recurrence")
@@ -213,14 +217,19 @@ def _stream(fn: np.ndarray, steps: list, u: np.ndarray, fmax: float) -> np.ndarr
         terms = (fn.T * np.multiply.accumulate(fac)[::2]).T
         terms[0] = 0.0 + terms[0]
         return np.add.accumulate(terms)[-1:].T
-    acc = 0.0 + steps[0] * b
+    vals = fn[..., None]  # (n+1[, R][, C], 1): each step's values, broadcast over u
+    acc = 0.0 + vals[0] * b
+    tmp = np.empty_like(acc)
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
-    for k, (v, c) in enumerate(zip(steps[1:], ratios.tolist()), 1):
-        b = b * r * c
-        acc = acc + v * b
+    for k, (v, c) in enumerate(zip(vals[1:], ratios.tolist()), 1):
+        # in place: the third argument is the output (faster than out=)
+        np.multiply(b, r, b)
+        np.multiply(b, c, b)
+        np.multiply(v, b, tmp)
+        np.add(acc, tmp, acc)
         # Exact stop. This step used ratio c, and every later step
         # multiplies by r * c_j <= rm * c < 3/4 (the ratios fall with k).
         # Each step rounds twice (unit roundoff 2**-53, subnormal spacing
@@ -266,18 +275,24 @@ def evaluate(f, p, xs) -> np.ndarray:
     cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
     fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
     fmax = float(np.abs(fn).max())
-    steps = []  # a one-point call never steps
-    if xs.size > 1:  # once for both halves: per half, 7 columns ran ~15% slower
-        steps = fn.tolist() if fn.ndim == 1 else list(fn[:, :, None])
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]
     left = (xs > 0.0) & (xs <= 0.5)
     right = (xs > 0.5) & (xs < 1.0)
-    if left.any():
-        out[left] = _stream(fn, steps, xs[left], fmax).T
-    if right.any():
-        out[right] = _stream(fn[::-1], steps[::-1], 1.0 - xs[right], fmax).T
+    ul, ur = xs[left], 1.0 - xs[right]
+    if ul.size and ur.size:
+        # One stream, a row per half: u = x over the node values, u = 1 - x
+        # over them reversed. The shorter row is padded with copies of its
+        # own points, which stop exactly as those points do.
+        width = max(ul.size, ur.size)
+        sums = _stream(np.stack((fn, fn[::-1]), axis=1),
+                       np.array([np.resize(ul, width), np.resize(ur, width)]), fmax)
+        out[left], out[right] = sums[0][..., : ul.size].T, sums[1][..., : ur.size].T
+    elif ul.size:
+        out[left] = _stream(fn, ul, fmax).T
+    elif ur.size:
+        out[right] = _stream(fn[::-1], ur, fmax).T
     return out
 
 

@@ -208,6 +208,9 @@ def test_criterion_08_classical_rate_window():
         # so 4n + 6 is an upper bound on the operations and eps_n holds.
         # A single point runs as two accumulates along k that perform the
         # same 4n + 5 operations in the same order, so eps_n is unchanged.
+        # A grid runs as one in-place two-row loop (its halves) that also
+        # performs the same 4n + 5 operations in the same order, so eps_n
+        # (gamma_{4n+6}) is unchanged.
         eps = _gamma(4 * n + 6) * (0.25 + 1.0 / (4 * n))
         got = sup_error(E["e2"], StancuParams(n, 0.0, 0.0))
         inside = float(top) - 2.0 * h <= got <= float(top) + eps

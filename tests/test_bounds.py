@@ -214,6 +214,34 @@ def test_two_term_bound_dominates_sup_error():
                 assert sup_error(f, p) <= corollary2_bound(f, p) + 1e-9
 
 
+class Counted:
+    """f, counting the calls that sample it on the modulus grid."""
+
+    def __init__(self, f):
+        self.f, self.grid_calls = f, 0
+
+    def __call__(self, x):
+        self.grid_calls += np.size(x) == DEFAULT_CONFIG.mod_grid_size
+        return self.f(x)
+
+
+def test_bounds_sample_f_once_on_the_modulus_grid():
+    # one sampling feeds every modulus a call needs, with the same values
+    p = StancuParams(100, 20.0, 30.0)
+    f = Counted(SIN15)
+    assert corollary2_bound(f, p) == (
+        modulus_of_continuity(SIN15, p.displacement_bound())
+        + DEFAULT_CONFIG.c1 * modulus_of_continuity(SIN15, p.n ** -0.5)
+    )
+    assert f.grid_calls == 1
+    fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
+    f = Counted(SIN15)
+    rep = theorem4_experiment(f, 100, fam)
+    want = [modulus_of_continuity(SIN15, 200.0 / (100 + b)) + grid_slack(SIN15)
+            for _, b in fam.levels()]
+    assert f.grid_calls == 1 and rep.bounds.tolist() == want
+
+
 def implied_c(f, p, cfg=DEFAULT_CONFIG):
     """Smallest c with two-term bound <= c * omega(f; n**-0.5)."""
     return corollary2_bound(f, p, cfg) / modulus_of_continuity(f, p.n ** -0.5, cfg)

@@ -172,6 +172,18 @@ def test_shifts_near_the_float_maximum_keep_a_finite_bound(capsys, argv):
     assert [float(r[column]) for r in rows] == [2.0] * len(rows)
 
 
+@pytest.mark.parametrize("alpha,beta,degrees", [
+    ("1e300", "1e301", "5,10"), ("4.7e16", "1e17", "99,100"), ("1e308", "1e308", "5,6"),
+])
+def test_check_t1_tied_float_bounds_still_fall(capsys, alpha, beta, degrees):
+    # neighbouring float bounds print alike; the exact sequence falls
+    rc, out, err = run(capsys, "check", "t1", "--alpha", alpha, "--beta", beta,
+                       "--n-list", degrees)
+    assert rc == 0 and "t1: OK" in out and err == ""
+    _, rows = csv_rows(out)
+    assert rows[0][2] == rows[1][2]
+
+
 def test_check_t1_needs_degrees(capsys):
     proc = run_module("check", "t1", "--alpha", "1", "--beta", "2")
     assert proc.returncode == 2 and "--n" in proc.stderr

@@ -13,6 +13,7 @@ from stancu_lab import (
     check_theorem2,
     check_theorem3,
 )
+from stancu_lab.nodes import _t1_flags
 
 params_strategy = st.builds(
     lambda n, b, frac: StancuParams(n, frac * b, b),
@@ -83,6 +84,21 @@ def test_theorem1_report_values():
 
     plain = check_theorem1(StancuParams(10, 0.0, 0.0), [5, 10, 20])
     assert plain.ok and plain.max_gaps.max() == 0.0
+
+
+def test_theorem1_decides_the_fall_on_exact_bounds():
+    # for large beta the float bounds of neighbouring degrees tie, while
+    # the exact sequence (alpha + beta)/(n + beta) still falls
+    for a, b, degrees in ((1e300, 1e301, [5, 10]), (4.7e16, 1e17, [99, 100]),
+                          (1e308, 1e308, [5, 6])):
+        rep = check_theorem1(StancuParams(max(degrees), a, b), degrees)
+        assert rep.bounds[0] == rep.bounds[1]
+        assert rep.ok and rep.bounds_decreasing and rep.failing_index is None
+    # the flag still fails on an exact sequence that does not fall
+    gaps_, bounds = np.zeros(3), np.array([0.5, 0.25, 0.25])
+    for degrees in ([10, 20, 20], [10, 20, 15]):
+        within, falling = _t1_flags(gaps_, bounds, degrees, 10.0, 20.0)
+        assert within.all() and falling.tolist() == [True, True, False]
 
 
 def test_theorem1_validation():
@@ -187,10 +203,11 @@ def test_theorem3_validation():
 
 
 def test_failing_index_names_the_first_broken_entry():
-    # every gap within its bound, but the bound stops falling at degree 30
+    # every gap within its bound, but the exact bound (alpha + beta)/(n + beta)
+    # stops falling at the third entry, a repeated degree
     flat = Theorem1Report(
-        alpha=1.0, beta=2.0, degrees=(10, 20, 30), max_gaps=np.zeros(3),
-        bounds=np.array([0.3, 0.2, 0.2]), within_bound=True, bounds_decreasing=False,
+        alpha=1.0, beta=2.0, degrees=(10, 20, 20), max_gaps=np.zeros(3),
+        bounds=np.array([3 / 12, 3 / 22, 3 / 22]), within_bound=True, bounds_decreasing=False,
     )
     assert flat.failing_index == 2
     # both t2 verdicts broken: the earlier node is named

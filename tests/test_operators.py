@@ -282,7 +282,11 @@ EXIT_TABLES = (
     lambda t: (np.arange(t.size) == t.size // 3).astype(float),  # one-hot spike
 )
 EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
-               1e-9, 0.25, 0.5, 0.5000000001, 0.999)
+               1e-9, 0.25, 0.5, 0.5000000001, 0.999,
+               # one stream row only, rows of unequal width, unsorted points
+               # with a duplicate, and one interior point beside an endpoint
+               uniform_grid(1001, 0, 400), uniform_grid(1001, 600), uniform_grid(1001, 300),
+               np.array([0.9, 0.1, 0.5, 0.7, 0.7, 0.3]), np.array([0.0, 0.3]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 100, 999, 1000, 1022])
