@@ -47,7 +47,7 @@ def main() -> int:
           f"{'shift_bound':>12} {'two_term':>12}")
     for a, b in PAIRS:
         p = StancuParams(n, a, b)
-        shift = (a + b) / (n + b)
+        shift = p.displacement_bound()
         shift_bound = (modulus_of_continuity(f, shift) + slack) if shift > 0 else 0.0
         sup, dist = sup_error_and_distance(f, p)
         print(f"{a:8.1f} {b:8.1f} {sup:12.6f} "
@@ -60,7 +60,7 @@ def main() -> int:
     print(f"{'alpha':>10} {'beta':>10} {'distance':>12} {'bound':>12}")
     for (a, b), d, bd in zip(rep.levels, rep.distances, rep.bounds):
         print(f"{a:10.1f} {b:10.1f} {d:12.6f} {bd:12.6f}")
-    print(f"within bound at every level: {rep.within_bound}")
+    print(f"within bound at every level: {rep.ok}")
     return 0
 
 

@@ -129,10 +129,8 @@ def _check_t1(args) -> int:
     cols = [report.degrees, report.max_gaps.tolist(), report.bounds.tolist()]
     _emit(["n,max_gap,bound"] + csv_rows(cols), args.out)
     if not report.ok:
-        why = "max_gap exceeds bound"
-        if report.within_bound:
-            why = "bound sequence is not strictly decreasing"
-        print(f"t1: FAIL at n={report.degrees[report.failing_index]}: {why}", file=sys.stderr)
+        n = report.degrees[report.failing_index]
+        print(f"t1: FAIL at n={n}: max_gap exceeds bound", file=sys.stderr)
         return 1
     print("t1: OK")
     return 0
@@ -166,7 +164,8 @@ def _check_t3(args) -> int:
     for p1, p2, report in zip(params, params[1:], reports):
         if not report.ok:
             print(
-                f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta})",
+                f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) "
+                f"at k={report.failing_index}",
                 file=sys.stderr,
             )
             return 1

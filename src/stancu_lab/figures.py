@@ -33,7 +33,6 @@ class FigureJob:
     n: int
     pairs: tuple[tuple[float, float], ...]
     grid_size: int = 1001
-    ratio_m: float | None = None
 
 
 _FIG9_PAIRS = ((4.7, 10.0), (47.0, 100.0), (470.0, 1000.0))
@@ -49,8 +48,8 @@ FIGURES: dict[str, FigureJob] = {
     "f6": FigureJob("f6", "curve", "sin15", 100, ((17.0, 100.0),)),
     "f7": FigureJob("f7", "curve", "sin15", 100, ((47.0, 100.0),)),
     "f8": FigureJob("f8", "curve", "sin15", 100, ((77.0, 100.0),)),
-    "f9": FigureJob("f9", "nodes", "sin15", 100, _FIG9_PAIRS, ratio_m=0.47),
-    "f10": FigureJob("f10", "curve", "sin15", 100, _FIG9_PAIRS, ratio_m=0.47),
+    "f9": FigureJob("f9", "nodes", "sin15", 100, _FIG9_PAIRS),
+    "f10": FigureJob("f10", "curve", "sin15", 100, _FIG9_PAIRS),
 }
 
 _CURVE_COLORS = ["red", "blue", "magenta", "black", "green"]
@@ -148,9 +147,9 @@ def _nodes_svg(job: FigureJob, blocks: list) -> str:
     families = [blocks[0][1]] + [cols[2] for cols in blocks]
     labels = ["bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     title = f"{job.figure_id}: nodes, n={job.n}"
-    guide = job.ratio_m
-    if guide is None and len(job.pairs) == 1 and job.pairs[0][1] > 0.0:
-        guide = job.pairs[0][0] / job.pairs[0][1]
+    # every pair of a multi-pair figure shares the ratio m = a/b
+    a, b = job.pairs[0]
+    guide = a / b if b > 0.0 else None
     return svg.node_chart(families, labels, _NODE_COLORS[: len(families)], title, guide_x=guide)
 
 

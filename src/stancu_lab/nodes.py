@@ -2,8 +2,7 @@
 
 For fixed degree n the plain operator samples at k/n while the shifted
 family samples at (k + alpha)/(n + beta). The checks below turn the
-geometric facts about those two point sets into plain per-index data plus
-booleans:
+geometric facts about those two point sets into plain per-index data:
 
 * the displacement of every shifted node from its plain counterpart is at
   most (alpha + beta)/(n + beta), which vanishes as n grows
@@ -15,15 +14,15 @@ booleans:
   around m, with distance ratio (n + beta1)/(n + beta2)
   (``check_theorem3``).
 
-Reports are data, not prose; harnesses assert on their fields. Each
-report answers ``ok`` (its verdict); the t1 and t2 reports also name
-their ``failing_index``, the first entry that breaks it (None when ok).
+Reports are data, not prose; harnesses assert on their fields. Each check
+computes one per-entry flag array, applying its tolerance there and only
+there, and stores the first entry that breaks it as ``failing_index``
+(None when every entry holds); ``ok`` is ``failing_index is None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,21 +55,9 @@ def _gaps(p: StancuParams) -> np.ndarray:
     return p.node_values() - StancuParams(p.n).node_values()
 
 
-def _t1_flags(max_gaps, bounds, degrees, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
-    """Per degree: the gap is within its float bound, and the exact bound
-    (alpha + beta)/(n + beta) falls below the previous one (or is 0, when
-    alpha + beta is 0). The fall is decided on rationals: for large beta the
-    float bounds of neighbouring degrees round to the same value."""
-    within = max_gaps <= bounds + GAP_CUSHION
-    a, b = Fraction(alpha), Fraction(beta)
-    exact = [(a + b) / (n + b) for n in degrees]
-    falling = np.array([e == 0 or e < prev for prev, e in zip([np.inf] + exact, exact)])
-    return within, falling
-
-
-def _closer(stancu_dist, bernstein_dist) -> np.ndarray:
-    """Per node: the shifted node is no farther from m than the plain one (t2)."""
-    return stancu_dist <= bernstein_dist + DIST_CUSHION
+def first_failure(flags: np.ndarray) -> int | None:
+    """Index of the first False entry of a per-entry flag array, or None."""
+    return None if flags.all() else int(np.argmin(flags))
 
 
 def _between(plain, outer, inner, m) -> np.ndarray:
@@ -82,27 +69,23 @@ def _between(plain, outer, inner, m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Theorem1Report:
-    """Per-degree maximal node displacement against the (alpha+beta)/(n+beta) bound."""
+    """Per-degree maximal node displacement against the (alpha+beta)/(n+beta) bound.
 
-    alpha: float
-    beta: float
+    Only the gaps are checked. The bounds need no verdict of their own:
+    ``check_theorem1`` rejects degree sequences that do not strictly
+    increase, and along such a sequence the exact (alpha+beta)/(n+beta)
+    strictly falls, or is 0 throughout when alpha + beta = 0. For large
+    beta the float bounds of neighbouring degrees may still print alike.
+    """
+
     degrees: tuple[int, ...]
     max_gaps: np.ndarray
     bounds: np.ndarray
-    within_bound: bool
-    bounds_decreasing: bool
+    failing_index: int | None
 
     @property
     def ok(self) -> bool:
-        return self.within_bound and self.bounds_decreasing
-
-    @property
-    def failing_index(self) -> int | None:
-        """The first degree over its bound, else the first whose bound does not
-        fall; None when the check passes."""
-        within, falling = _t1_flags(self.max_gaps, self.bounds, self.degrees, self.alpha, self.beta)
-        flags = falling if self.within_bound else within
-        return None if flags.all() else int(np.argmin(flags))
+        return self.failing_index is None
 
 
 def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
@@ -111,8 +94,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     ``p`` supplies the shift parameters; its own degree is replaced by each
     entry of ``n_sequence`` in turn.
     """
-    a, b = p.alpha, p.beta
-    params = [StancuParams(n, a, b) for n in n_sequence]
+    params = [StancuParams(n, p.alpha, p.beta) for n in n_sequence]
     degrees = tuple(int(q.n) for q in params)
     if len(degrees) == 0:
         raise ValueError("n_sequence must be non-empty")
@@ -120,15 +102,11 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
         raise ValueError("n_sequence must be strictly increasing")
     max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
     bounds = np.array([q.displacement_bound() for q in params])
-    within, falling = _t1_flags(max_gaps, bounds, degrees, a, b)
     return Theorem1Report(
-        alpha=a,
-        beta=b,
         degrees=degrees,
         max_gaps=max_gaps,
         bounds=bounds,
-        within_bound=bool(within.all()),
-        bounds_decreasing=bool(falling.all()),
+        failing_index=first_failure(max_gaps <= bounds + GAP_CUSHION),
     )
 
 
@@ -138,10 +116,11 @@ class ClusterReport:
 
     ``stancu_dist`` equals ``contraction * bernstein_dist`` up to float
     rounding (``identity_error`` is the measured residual); the two node
-    families coincide exactly at the ``crossing_indices``.
+    families coincide exactly at the ``crossing_indices``. A node fails
+    when it is farther from m than its plain node, or when, off m, it does
+    not lie strictly between its plain node and m.
     """
 
-    params: StancuParams
     ratio_m: float
     bernstein_dist: np.ndarray
     stancu_dist: np.ndarray
@@ -149,26 +128,11 @@ class ClusterReport:
     crossing_indices: tuple[int, ...]
     contraction: float
     identity_error: float
-    inequality_holds: bool
-    sign_pattern_holds: bool
+    failing_index: int | None
 
     @property
     def ok(self) -> bool:
-        return self.inequality_holds and self.sign_pattern_holds
-
-    @property
-    def failing_index(self) -> int | None:
-        """The first node that breaks the inequality or the sign pattern;
-        None when the check passes."""
-        firsts = []
-        if not self.inequality_holds:
-            firsts.append(int(np.argmin(_closer(self.stancu_dist, self.bernstein_dist))))
-        if not self.sign_pattern_holds:
-            p = self.params
-            plain = StancuParams(p.n).node_values()
-            between = _between(plain, plain, p.node_values(), self.ratio_m)
-            firsts.append(int(np.argmin(between)))
-        return min(firsts, default=None)
+        return self.failing_index is None
 
 
 def check_theorem2(p: StancuParams) -> ClusterReport:
@@ -185,8 +149,8 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
     stan_dist = np.abs(shifted - m)
     identity_error = float(np.abs((shifted - m) - contraction * (plain - m)).max())
     crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
+    flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, plain, shifted, m)
     return ClusterReport(
-        params=p,
         ratio_m=m,
         bernstein_dist=bern_dist,
         stancu_dist=stan_dist,
@@ -194,8 +158,7 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
         crossing_indices=crossings,
         contraction=contraction,
         identity_error=identity_error,
-        inequality_holds=bool(_closer(stan_dist, bern_dist).all()),
-        sign_pattern_holds=bool(_between(plain, plain, shifted, m).all()),
+        failing_index=first_failure(flags),
     )
 
 
@@ -204,8 +167,9 @@ class Theorem3Report:
     """Nesting of two node families sharing the ratio m = alpha/beta.
 
     With beta2 > beta1 the second family sits strictly between the first
-    and m at every index off m; the distances shrink by the exact factor
-    ``shrink_factor`` = (n + beta1)/(n + beta2).
+    and m, and strictly closer to m, at every index off m; the distances
+    shrink by the exact factor ``shrink_factor`` = (n + beta1)/(n + beta2).
+    With beta2 = beta1 the two families must be identical.
     """
 
     params1: StancuParams
@@ -214,14 +178,13 @@ class Theorem3Report:
     dist1: np.ndarray
     dist2: np.ndarray
     shrink_factor: float
-    chain_holds: bool
-    strictly_closer: bool
     difference_identity_error: float
     distance_identity_error: float
+    failing_index: int | None
 
     @property
     def ok(self) -> bool:
-        return self.chain_holds and self.strictly_closer
+        return self.failing_index is None
 
 
 def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
@@ -250,14 +213,12 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     )
     dist_identity = float(np.abs(dist2 - factor * dist1).max())
 
-    off = np.abs(plain - m) > CROSSING_TOL
     if b2 > b1:
-        chain = bool(_between(plain, nodes1, nodes2, m).all())
-        closer = bool((dist2[off] < dist1[off]).all())
+        off = np.abs(plain - m) > CROSSING_TOL
+        flags = _between(plain, nodes1, nodes2, m) & ((dist2 < dist1) | ~off)
     else:
         # identical ratios with equal beta mean identical families
-        chain = bool(np.abs(nodes1 - nodes2).max() == 0.0)
-        closer = chain
+        flags = nodes1 == nodes2
     return Theorem3Report(
         params1=p1,
         params2=p2,
@@ -265,8 +226,7 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
         dist1=dist1,
         dist2=dist2,
         shrink_factor=factor,
-        chain_holds=chain,
-        strictly_closer=closer,
         difference_identity_error=diff_identity,
         distance_identity_error=dist_identity,
+        failing_index=first_failure(flags),
     )

@@ -251,7 +251,7 @@ def test_criterion_10_fixed_degree_collapse():
     t_nodes = StancuParams(n, *rep.levels[-1]).node_values()
     endpoint = abs(float(f(t_nodes)[-1]) - rep.f_at_m)
     ok_endpoint = rep.final_distance >= endpoint
-    ok = rep.within_bound and ok_args and ok_bounds and ok_endpoint
+    ok = rep.ok and ok_args and ok_bounds and ok_endpoint
     pairs = ", ".join(f"{d:.4g}<={b:.4g}" for d, b in zip(rep.distances, rep.bounds))
     report(
         10,
@@ -260,7 +260,7 @@ def test_criterion_10_fixed_degree_collapse():
         f"d<=bound: {pairs}; monotone {'yes' if rep.monotone_decreasing else 'no'}; "
         f"final {rep.final_distance:.4g} >= endpoint gap {endpoint:.4g}",
     )
-    assert rep.within_bound, f"a level exceeds its bound: {rep.distances} vs {rep.bounds}"
+    assert rep.ok, f"a level exceeds its bound: {rep.distances} vs {rep.bounds}"
     assert ok_args, f"modulus arguments do not shrink: {args}"
     assert ok_bounds, f"bounds do not collapse: {rep.bounds}"
     assert ok_endpoint, f"final distance {rep.final_distance} below endpoint gap {endpoint}"

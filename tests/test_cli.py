@@ -258,14 +258,14 @@ def test_check_t4_rejects_invalid_input(capsys, flag, value):
 
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     import stancu_lab.cli as cli
-    from stancu_lab import ClusterReport, StancuParams, Theorem1Report, Theorem4Report
+    from stancu_lab import ClusterReport, StancuParams, Theorem1Report, Theorem3Report, Theorem4Report
 
-    # in each check, entry 0 overshoots by less than the noise floor of the
-    # report's own verdict, entry 1 by more: only entry 1 is named
+    # each check applies its tolerance once and stores the first failing
+    # entry; the message names that entry
     fake = Theorem4Report(
         ratio_m=0.5, f_at_m=0.0, levels=((1.0, 2.0), (10.0, 20.0)),
         distances=np.array([1.0 + 5e-13, 2.0]), bounds=np.array([1.0, 1.0]),
-        within_bound=False, monotone_decreasing=False,
+        failing_index=1, monotone_decreasing=False,
     )
     monkeypatch.setattr(cli, "theorem4_experiment", lambda *a, **k: fake)
     rc, _, err = run(capsys, "check", "t4", "--function", "sin15", "--n", "10",
@@ -274,24 +274,35 @@ def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     assert "FAIL at level 1" in err
 
     fake1 = Theorem1Report(
-        alpha=1.0, beta=2.0, degrees=(10, 20), max_gaps=np.array([1.0 + 5e-13, 2.0]),
-        bounds=np.array([1.0, 1.0]), within_bound=False, bounds_decreasing=True,
+        degrees=(10, 20), max_gaps=np.array([1.0 + 5e-13, 2.0]),
+        bounds=np.array([1.0, 1.0]), failing_index=1,
     )
     monkeypatch.setattr(cli, "check_theorem1", lambda *a, **k: fake1)
     rc, _, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
     assert rc == 1
-    assert "FAIL at n=20" in err
+    assert err == "t1: FAIL at n=20: max_gap exceeds bound\n"
 
     fake2 = ClusterReport(
-        params=StancuParams(10, 1.0, 2.0), ratio_m=0.5, bernstein_dist=np.array([0.5, 0.5]),
+        ratio_m=0.5, bernstein_dist=np.array([0.5, 0.5]),
         stancu_dist=np.array([0.5 + 5e-16, 0.75]), max_gap=0.0, crossing_indices=(),
-        contraction=10.0 / 12.0, identity_error=0.0, inequality_holds=False,
-        sign_pattern_holds=True,
+        contraction=10.0 / 12.0, identity_error=0.0, failing_index=1,
     )
     monkeypatch.setattr(cli, "check_theorem2", lambda *a, **k: fake2)
     rc, _, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
     assert rc == 1
     assert "FAIL at k=1" in err
+
+    p1, p2 = StancuParams(10, 1.0, 2.0), StancuParams(10, 2.0, 4.0)
+    fake3 = Theorem3Report(
+        params1=p1, params2=p2, ratio_m=0.5, dist1=np.full(11, 0.5), dist2=np.full(11, 0.5),
+        shrink_factor=12.0 / 14.0, difference_identity_error=0.0, distance_identity_error=0.0,
+        failing_index=3,
+    )
+    monkeypatch.setattr(cli, "check_theorem3", lambda *a, **k: fake3)
+    rc, out, err = run(capsys, "check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4")
+    assert rc == 1
+    assert err == "t3: FAIL for pairs (1.0,2.0) -> (2.0,4.0) at k=3\n"
+    assert out.startswith("k,node_0,dist_0,node_1,dist_1\n")
 
 
 def test_check_t2_names_the_node_that_breaks_the_sign_pattern(capsys):
@@ -346,7 +357,7 @@ def test_flag_the_command_does_not_read_is_a_usage_error(flag, argv):
 
 
 def test_figure_presets_round_trip():
-    from stancu_lab.figures import FIGURES
+    from stancu_lab.figures import FIGURES, build_figure
 
     assert (FIGURES["f1"].function, FIGURES["f1"].n, FIGURES["f1"].pairs) == (
         "sin15", 50, ((20.0, 30.0),))
@@ -359,7 +370,8 @@ def test_figure_presets_round_trip():
     for fid in ("f9", "f10"):
         assert FIGURES[fid].n == 100
         assert FIGURES[fid].pairs == ((4.7, 10.0), (47.0, 100.0), (470.0, 1000.0))
-        assert FIGURES[fid].ratio_m == 0.47
+    # f9 draws its guide line at the ratio its pairs share
+    assert ">m=0.47</text>" in build_figure(FIGURES["f9"])[1]
 
 
 def test_figure_f1_files_and_schema(tmp_path, capsys):

@@ -9,11 +9,11 @@ from stancu_lab import (
     ClusterReport,
     StancuParams,
     Theorem1Report,
+    Theorem3Report,
     check_theorem1,
     check_theorem2,
     check_theorem3,
 )
-from stancu_lab.nodes import _t1_flags
 
 params_strategy = st.builds(
     lambda n, b, frac: StancuParams(n, frac * b, b),
@@ -85,6 +85,12 @@ def test_theorem1_report_values():
     plain = check_theorem1(StancuParams(10, 0.0, 0.0), [5, 10, 20])
     assert plain.ok and plain.max_gaps.max() == 0.0
 
+    # alpha = 0: the largest gap 1/3 equals the bound, but the float gap
+    # lands one ulp above the float bound and passes through GAP_CUSHION
+    edge = check_theorem1(StancuParams(2, 0.0, 1.0), [2])
+    assert 0.0 < edge.max_gaps[0] - edge.bounds[0] <= 1e-16
+    assert edge.ok and edge.failing_index is None
+
 
 def test_theorem1_decides_the_fall_on_exact_bounds():
     # for large beta the float bounds of neighbouring degrees tie, while
@@ -93,12 +99,7 @@ def test_theorem1_decides_the_fall_on_exact_bounds():
                           (1e308, 1e308, [5, 6])):
         rep = check_theorem1(StancuParams(max(degrees), a, b), degrees)
         assert rep.bounds[0] == rep.bounds[1]
-        assert rep.ok and rep.bounds_decreasing and rep.failing_index is None
-    # the flag still fails on an exact sequence that does not fall
-    gaps_, bounds = np.zeros(3), np.array([0.5, 0.25, 0.25])
-    for degrees in ([10, 20, 20], [10, 20, 15]):
-        within, falling = _t1_flags(gaps_, bounds, degrees, 10.0, 20.0)
-        assert within.all() and falling.tolist() == [True, True, False]
+        assert rep.ok and rep.failing_index is None
 
 
 def test_theorem1_validation():
@@ -144,8 +145,8 @@ def test_theorem2_sign_pattern_names_the_first_node_off_m():
     # Node 0 sits at m; node 1 is the first to break the strict pattern,
     # while the distance inequality still holds everywhere.
     rep = check_theorem2(StancuParams(10, 0.0, 1e-300))
-    assert rep.inequality_holds and not rep.sign_pattern_holds
-    assert rep.failing_index == 1
+    assert (rep.stancu_dist <= rep.bernstein_dist).all()
+    assert rep.failing_index == 1 and not rep.ok
 
 
 def test_theorem2_requires_positive_beta():
@@ -203,21 +204,33 @@ def test_theorem3_validation():
 
 
 def test_failing_index_names_the_first_broken_entry():
-    # every gap within its bound, but the exact bound (alpha + beta)/(n + beta)
-    # stops falling at the third entry, a repeated degree
-    flat = Theorem1Report(
-        alpha=1.0, beta=2.0, degrees=(10, 20, 20), max_gaps=np.zeros(3),
-        bounds=np.array([3 / 12, 3 / 22, 3 / 22]), within_bound=True, bounds_decreasing=False,
-    )
-    assert flat.failing_index == 2
-    # both t2 verdicts broken: the earlier node is named
-    both = ClusterReport(
-        params=StancuParams(10, 0.0, 1e-300), ratio_m=0.0, bernstein_dist=np.full(11, 0.5),
-        stancu_dist=np.r_[np.full(5, 0.5), np.full(6, 0.75)], max_gap=0.0,
-        crossing_indices=(), contraction=1.0, identity_error=0.0,
-        inequality_holds=False, sign_pattern_holds=False,
-    )
-    assert both.failing_index == 1
+    # a report's verdict is its failing_index and nothing else
+    for failing, ok in ((2, False), (0, False), (None, True)):
+        t1 = Theorem1Report(
+            degrees=(10, 20, 30), max_gaps=np.zeros(3),
+            bounds=np.array([3 / 12, 3 / 22, 3 / 32]), failing_index=failing,
+        )
+        t2 = ClusterReport(
+            ratio_m=0.0, bernstein_dist=np.full(11, 0.5), stancu_dist=np.full(11, 0.5),
+            max_gap=0.0, crossing_indices=(), contraction=1.0, identity_error=0.0,
+            failing_index=failing,
+        )
+        p = StancuParams(10, 1.0, 2.0)
+        t3 = Theorem3Report(
+            params1=p, params2=p, ratio_m=0.5, dist1=np.zeros(11), dist2=np.zeros(11),
+            shrink_factor=1.0, difference_identity_error=0.0, distance_identity_error=0.0,
+            failing_index=failing,
+        )
+        for report in (t1, t2, t3):
+            assert report.ok is ok and report.failing_index == failing
+
+
+def test_theorem3_names_the_first_node_that_breaks_the_nesting():
+    # k/(10 + 1e-300) rounds to k/10, so the first family sits on the plain
+    # nodes; a second family at beta = 2e-300 rounds there too and cannot lie
+    # strictly between the first and m = 0. Node 0 sits at m.
+    rep = check_theorem3(StancuParams(10, 0.0, 1e-300), StancuParams(10, 0.0, 2e-300))
+    assert rep.failing_index == 1 and not rep.ok
 
 
 def assert_protocol(report):
@@ -239,3 +252,15 @@ def test_report_protocol_t1(p, more):
 @settings(max_examples=150, deadline=None)
 def test_report_protocol_t2(n, b, frac):
     assert_protocol(check_theorem2(StancuParams(n, frac * b, b)))
+
+
+@given(
+    n=st.integers(1, 400),
+    b=st.floats(0.0, 1000.0, exclude_min=True),
+    grow=st.floats(1.0, 100.0),
+    frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_report_protocol_t3(n, b, grow, frac):
+    report = check_theorem3(StancuParams(n, frac * b, b), StancuParams(n, frac * b * grow, b * grow))
+    assert_protocol(report)
