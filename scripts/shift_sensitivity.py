@@ -19,6 +19,7 @@ Usage: python scripts/shift_sensitivity.py [--function sin15] [--n 100]
 import argparse
 
 from stancu_lab import (
+    BUILTIN_FUNCTIONS,
     FunctionSpec,
     RatioFamily,
     StancuParams,
@@ -33,16 +34,11 @@ PAIRS = [(0.0, 0.0), (4.7, 10.0), (20.0, 30.0), (17.0, 100.0), (47.0, 100.0),
          (77.0, 100.0), (470.0, 1000.0)]
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--function", default="sin15")
-    ap.add_argument("--n", type=int, default=100)
-    args = ap.parse_args()
-    f = FunctionSpec.builtin(args.function)
-    n = args.n
+def print_tables(name: str, n: int) -> None:
+    f = FunctionSpec.builtin(name)
     slack = grid_slack(f)
 
-    print(f"function={args.function} n={n}")
+    print(f"function={name} n={n}")
     print(f"{'alpha':>8} {'beta':>8} {'sup_error':>12} {'op_distance':>12} "
           f"{'shift_bound':>12} {'two_term':>12}")
     for a, b in PAIRS:
@@ -61,6 +57,17 @@ def main() -> int:
     for (a, b), d, bd in zip(rep.levels, rep.distances, rep.bounds):
         print(f"{a:10.1f} {b:10.1f} {d:12.6f} {bd:12.6f}")
     print(f"within bound at every level: {rep.ok}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--function", choices=BUILTIN_FUNCTIONS, default="sin15")
+    ap.add_argument("--n", type=int, default=100)
+    args = ap.parse_args(argv)
+    try:
+        print_tables(args.function, args.n)
+    except ValueError as exc:  # a degree the operators reject: exit 2, as stancu-lab does
+        ap.error(str(exc))
     return 0
 
 

@@ -21,11 +21,15 @@ of k = n x, so the recurrence, stepped in k and vectorised across
 points, stops as soon as no remaining term can change a bit of the
 running sum at any point: the result is bit-identical to running all n
 steps, which a zero running sum always does. One point runs the same
-operations in the same order as two ufunc accumulates along k (n = 1000:
-0.06 ms a call, not 1 ms). A grid steps its two halves as the two rows of
-one stream over preallocated arrays updated in place, the same roundings
-in the same order (n = 1000, 1001 points: 2.0 ms, not 2.7 ms, on a 2-core
-Xeon); accumulating such a grid along k was 5-10x slower.
+operations in the same order as two ufunc accumulates along k, which
+leaves a call mostly fixed numpy dispatch; so ``evaluate`` reads a lone
+point as a float and sends it straight to its endpoint value or its half,
+without the masks that sort a grid (n = 50 / 1000: 22 / 47 us a call, not
+36 / 62 us, and 1 ms before the accumulates). A grid steps its two halves
+as the two rows of one stream over preallocated arrays updated in place,
+the same roundings in the same order (n = 1000, 1001 points: 2.0 ms, not
+2.7 ms, on a 2-core Xeon); accumulating such a grid along k was 5-10x
+slower.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _as_unit_interval(x, what="x"):
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{what} is empty")
-    if not np.isfinite(arr).all() or float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
+    if not (0.0 <= arr.min() and arr.max() <= 1.0):  # NaN fails both tests, +-inf one
         raise ValueError(f"{what} must lie in [0, 1]")
     return arr
 
@@ -185,13 +189,13 @@ _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
 _CHECK_EVERY = 4
 
 
-def _stream(fn: np.ndarray, u: np.ndarray, fmax: float) -> np.ndarray:
+def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_k fn[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
 
     ``fn`` holds the n+1 node values, shape (n+1,) or (n+1, C) for C
-    columns (the result is then (C, len(u))), and ``fmax`` bounds |fn|.
-    A stream of R rows takes u (R, W) and fn (n+1, R[, C]), row j over
-    fn[:, j], and returns (R[, C], W). Forward ratio recurrence
+    columns (the result is then (C, len(u))). A stream of R rows takes
+    u (R, W) and fn (n+1, R[, C]), row j over fn[:, j], and returns
+    (R[, C], W). Forward ratio recurrence
     b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from the seed (1 - u)**n,
     accumulated in ascending k; the basis is updated once per step for all
     columns. One point runs the recurrence and the sum as two ufunc
@@ -203,11 +207,12 @@ def _stream(fn: np.ndarray, u: np.ndarray, fmax: float) -> np.ndarray:
     """
     n = fn.shape[0] - 1
     u = u[:, None] if fn.ndim == 3 else u
-    b = (1.0 - u) ** n
+    w = 1.0 - u
+    b = w**n
     if float(b.min()) < _TINY:
         raise ValueError(f"degree n={n} too large for float64 basis recurrence")
-    r = u / (1.0 - u)
-    ratios = np.arange(n, 0, -1) / np.arange(1.0, n + 1)  # (n - k)/(k + 1)
+    r = u / w
+    ratios = np.arange(float(n), 0.0, -1.0) / np.arange(1.0, n + 1)  # (n - k)/(k + 1)
     if u.size == 1:
         # Every other entry of the running product of [seed, r, c_1, r,
         # c_2, ...] is (b_{k-1} r) c_k, the loop's products in its order;
@@ -222,6 +227,7 @@ def _stream(fn: np.ndarray, u: np.ndarray, fmax: float) -> np.ndarray:
     tmp = np.empty_like(acc)
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
+    fmax = float(np.abs(fn).max())  # read only by the exact stop below
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
     for k, (v, c) in enumerate(zip(vals[1:], ratios.tolist()), 1):
@@ -274,7 +280,11 @@ def evaluate(f, p, xs) -> np.ndarray:
         raise ValueError("operators evaluated together must share one degree")
     cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
     fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
-    fmax = float(np.abs(fn).max())
+    if xs.size == 1:  # one point: no masks, gathers or scatters
+        x = float(xs[0])
+        if x in (0.0, 1.0):
+            return (fn[:1] if x == 0.0 else fn[-1:]).copy()
+        return (_stream(fn, xs) if x <= 0.5 else _stream(fn[::-1], 1.0 - xs)).T
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]
@@ -287,12 +297,12 @@ def evaluate(f, p, xs) -> np.ndarray:
         # own points, which stop exactly as those points do.
         width = max(ul.size, ur.size)
         sums = _stream(np.stack((fn, fn[::-1]), axis=1),
-                       np.array([np.resize(ul, width), np.resize(ur, width)]), fmax)
+                       np.array([np.resize(ul, width), np.resize(ur, width)]))
         out[left], out[right] = sums[0][..., : ul.size].T, sums[1][..., : ur.size].T
     elif ul.size:
-        out[left] = _stream(fn, ul, fmax).T
+        out[left] = _stream(fn, ul).T
     elif ur.size:
-        out[right] = _stream(fn[::-1], ur, fmax).T
+        out[right] = _stream(fn[::-1], ur).T
     return out
 
 

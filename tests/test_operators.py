@@ -286,7 +286,9 @@ EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
                # one stream row only, rows of unequal width, unsorted points
                # with a duplicate, and one interior point beside an endpoint
                uniform_grid(1001, 0, 400), uniform_grid(1001, 600), uniform_grid(1001, 300),
-               np.array([0.9, 0.1, 0.5, 0.7, 0.7, 0.3]), np.array([0.0, 0.3]))
+               np.array([0.9, 0.1, 0.5, 0.7, 0.7, 0.3]), np.array([0.0, 0.3]),
+               # each branch of the one-point dispatch
+               0.0, 1.0, -0.0, np.array([0.77]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 100, 999, 1000, 1022])
@@ -412,6 +414,21 @@ def test_function_spec_validation():
         FunctionSpec.builtin("e1")(1.0001)
     with pytest.raises(ValueError):
         FunctionSpec.builtin("e1")(np.array([0.5, -0.2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_outside_the_unit_interval_are_rejected(bad):
+    # NaN and +-inf fail the range check alone, as a scalar or in an array
+    f, p = FunctionSpec.builtin("sin15"), StancuParams(50, 20.0, 30.0)
+    outside = r"must lie in \[0, 1\]"
+    with pytest.raises(ValueError, match=outside):
+        apply_operator(f, p, bad)  # takes one float
+    for take in (lambda x: evaluate(f, p, x), f, lambda x: moment_closed_form(2, p, x)):
+        for x in (bad, np.array([0.2, bad, 0.7])):
+            with pytest.raises(ValueError, match=outside):
+                take(x)
+        with pytest.raises(ValueError, match="is empty"):
+            take(np.array([]))
 
 
 def test_params_validation():
