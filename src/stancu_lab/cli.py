@@ -35,7 +35,8 @@ from .bounds import (
 )
 from .figures import FIGURES, NODE_HEADER, build_figure, csv_rows, fmt, node_rows, with_overrides
 from .nodes import check_theorem1, check_theorem2, check_theorem3
-from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, evaluate, uniform_grid
+from .operators import (BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, _as_unit_interval,
+                        evaluate, uniform_grid)
 
 __all__ = ["main"]
 
@@ -98,9 +99,9 @@ def _eval_lines(f, ps, blocks):
 def cmd_eval(args) -> int:
     f = FunctionSpec.builtin(args.function)
     ps = (StancuParams(args.n), StancuParams(args.n, args.alpha, args.beta))
+    # a bad point or a too-large degree raises before --out is opened
     if args.x is not None:
-        probe = np.array([float(args.x)])
-        blocks = [probe]
+        lines = list(_eval_lines(f, ps, [_as_unit_interval([args.x], "--x")]))
     else:
         size = 101 if args.grid is None else args.grid
         try:
@@ -108,10 +109,10 @@ def cmd_eval(args) -> int:
             probe = uniform_grid(size, max(size // 2 - 2, 0), size // 2 + 2)
         except ValueError as exc:
             raise ValueError(f"--grid: {exc}") from None
+        list(_eval_lines(f, ps, [probe]))
         blocks = (uniform_grid(size, i, i + _BLOCK) for i in range(0, size, _BLOCK))
-    # a bad point or a too-large degree raises here, before --out is opened
-    list(_eval_lines(f, ps, [probe]))
-    _emit(_eval_lines(f, ps, blocks), args.out)
+        lines = _eval_lines(f, ps, blocks)
+    _emit(lines, args.out)
     return 0
 
 

@@ -3,6 +3,11 @@
 No plotting dependency: curves become polylines, node families become
 marker rows. Fixed 960x360 viewBox, wide aspect. All coordinates are
 formatted with two decimals so identical inputs give identical bytes.
+The chart arithmetic runs on arrays, with the same IEEE operations in the
+same order as on one float. A chart's x coordinates are formatted once,
+into a template that each polyline fills with one ``%``; each marker row
+is one ``%`` template mapped over its positions. ``'%.2f'`` and
+``'{:.2f}'`` are the same correctly rounded conversion.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ def _legend(parts, labels, colors):
 
 def line_chart(xs, series, labels, colors, title) -> str:
     """Polyline chart of one or more y-series over a shared x in [0, 1]."""
-    lo = min(min(ys) for ys in series)
-    hi = max(max(ys) for ys in series)
+    ys = np.asarray(series, dtype=float)
+    lo, hi = float(ys.min()), float(ys.max())
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
@@ -83,11 +88,11 @@ def line_chart(xs, series, labels, colors, title) -> str:
             f'stroke="#ccc" stroke-width="1"/>'
         )
     px = _fx(np.asarray(xs, dtype=float)).tolist()
-    for ys, color in zip(series, colors):
-        py = fy(np.asarray(ys, dtype=float)).tolist()
-        pts = " ".join(map("{:.2f},{:.2f}".format, px, py))
+    points = ("%.2f,%%.2f " * len(px) % tuple(px))[:-1]
+    for py, color in zip(fy(ys).tolist(), colors):
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points % tuple(py)}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
         )
     _legend(parts, labels, colors)
     parts.append("</svg>")
@@ -113,11 +118,8 @@ def node_chart(families, labels, colors, title, guide_x=None) -> str:
             f'<line x1="{_num(_LEFT)}" y1="{_num(py)}" x2="{_num(_RIGHT)}" y2="{_num(py)}" '
             f'stroke="#eee" stroke-width="1"/>'
         )
-        for x in nodes:
-            parts.append(
-                f'<circle cx="{_num(_fx(x))}" cy="{_num(py)}" r="3" fill="{color}" '
-                f'fill-opacity="0.7"/>'
-            )
+        circle = f'<circle cx="%.2f" cy="{_num(py)}" r="3" fill="{color}" fill-opacity="0.7"/>'
+        parts += map(circle.__mod__, _fx(np.asarray(nodes, dtype=float)).tolist())
     _legend(parts, labels, colors)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -118,6 +118,32 @@ def test_eval_rejects_point_outside_domain(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-0.5", "1.5"])
+def test_eval_bad_point_names_the_flag(capsys, tmp_path, x):
+    target = tmp_path / "eval.csv"
+    rc, out, err = run(capsys, "eval", "--n", "50", "--x", x, "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --x must lie in [0, 1]\n"
+    assert not target.exists()
+
+
+def test_eval_point_is_evaluated_once(capsys, monkeypatch):
+    import stancu_lab.cli as cli
+
+    calls, evaluate = [], cli.evaluate
+
+    def counted(f, ps, xs):
+        calls.append(len(xs))
+        return evaluate(f, ps, xs)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    rc, out, _ = run(capsys, "eval", "--n", "50", "--alpha", "20", "--beta", "30", "--x", "0.5")
+    assert rc == 0
+    assert len(out.splitlines()) == 2
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------- nodes
 
 

@@ -11,16 +11,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stancu_lab import FunctionSpec, StancuParams, apply_operator_curve, evaluate, svg
 from stancu_lab.cli import main
-from stancu_lab.figures import FIGURES
+from stancu_lab.figures import FIGURES, with_overrides
 
 
-def run_figure(capsys, tmp_path, fid):
-    assert main(["figure", fid, "--out", str(tmp_path)]) == 0
+def run_figure(capsys, tmp_path, case):
+    """Run ``figure <case>``, e.g. ``"f3 --n 100"``; return its job and file texts."""
+    fid, *extra = case.split()
+    assert main(["figure", fid, *extra, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    return (tmp_path / f"{fid}.csv").read_text(), (tmp_path / f"{fid}.svg").read_text()
+    opts = dict(zip(extra[::2], map(int, extra[1::2])))
+    job = with_overrides(FIGURES[fid], n=opts.get("--n"), grid_size=opts.get("--grid"))
+    return job, (tmp_path / f"{fid}.csv").read_text(), (tmp_path / f"{fid}.svg").read_text()
 
 
 def data_rows(csv_text):
@@ -35,7 +41,8 @@ def assert_cells(rows, cols):
 
 def scalar_polylines(xs, series):
     """``svg.line_chart``'s points, one value at a time."""
-    lo = min(min(ys) for ys in series)
+    # a numpy scalar divides by a zero range as the chart's arrays do
+    lo = np.float64(min(min(ys) for ys in series))
     hi = max(max(ys) for ys in series)
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
@@ -51,10 +58,9 @@ def scalar_polylines(xs, series):
     ]
 
 
-@pytest.mark.parametrize("fid", ["f1", "f2", "f6", "f7", "f8", "f10"])
+@pytest.mark.parametrize("fid", ["f1", "f2", "f6", "f7", "f8", "f10", "f10 --grid 2001"])
 def test_curve_figure_cells_and_points(capsys, tmp_path, fid):
-    job = FIGURES[fid]
-    csv_text, svg_text = run_figure(capsys, tmp_path, fid)
+    job, csv_text, svg_text = run_figure(capsys, tmp_path, fid)
     f = FunctionSpec.builtin(job.function)
     grid = np.linspace(0.0, 1.0, job.grid_size)
     cols = [grid, f(grid)] + [
@@ -68,10 +74,11 @@ def test_curve_figure_cells_and_points(capsys, tmp_path, fid):
     assert points == scalar_polylines(values[0], values[1:])
 
 
-@pytest.mark.parametrize("fid", ["f3", "f9"])
+@pytest.mark.parametrize(
+    "fid", ["f3", "f4", "f5", "f9", "f3 --n 100", "f4 --n 100", "f5 --n 100"]
+)
 def test_node_figure_cells_and_markers(capsys, tmp_path, fid):
-    job = FIGURES[fid]
-    csv_text, svg_text = run_figure(capsys, tmp_path, fid)
+    job, csv_text, svg_text = run_figure(capsys, tmp_path, fid)
     plain = StancuParams(job.n).node_values()
     families = [plain] + [StancuParams(job.n, a, b).node_values() for a, b in job.pairs]
     offset = 0 if len(job.pairs) == 1 else 2
@@ -97,3 +104,40 @@ def test_eval_grid_cells(capsys, grid):
     xs = np.linspace(0.0, 1.0, grid)
     cols = [xs, f(xs), evaluate(f, StancuParams(250), xs), evaluate(f, p, xs)]
     assert_cells(data_rows(out), cols)
+
+
+@st.composite
+def charts(draw):
+    """Shared x in [0, 1] and 1-5 finite y-series, some of them constant."""
+    size = draw(st.integers(1, 40))
+    xs = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    series = st.one_of(
+        st.lists(finite, min_size=size, max_size=size),
+        finite.map(lambda v: [v] * size),
+    )
+    return xs, draw(st.lists(series, min_size=1, max_size=5))
+
+
+@given(charts())
+@settings(max_examples=200, deadline=None)
+def test_line_chart_points_match_the_scalar_formula(chart):
+    xs, series = chart
+    # huge values give a zero or infinite y range, and nan points, on both sides
+    with np.errstate(all="ignore"):
+        text = svg.line_chart(xs, series, ["s"] * len(series), ["red"] * len(series), "t")
+        expected = scalar_polylines(xs, series)
+    assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+
+
+@given(
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300), min_size=1, max_size=4),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_node_chart_markers_match_the_scalar_formula(families, guide):
+    k = len(families)
+    text = svg.node_chart(families, ["s"] * k, ["blue"] * k, "t", guide_x=guide)
+    rows = [svg._num(svg._BOTTOM - (i + 1) / (k + 1) * (svg._BOTTOM - svg._TOP)) for i in range(k)]
+    expected = [(svg._num(svg._fx(x)), cy) for fam, cy in zip(families, rows) for x in fam]
+    assert re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text) == expected
