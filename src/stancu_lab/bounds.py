@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import first_failure
+from .nodes import CheckReport, first_failure
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = [
@@ -206,7 +206,7 @@ class RatioFamily:
 
 
 @dataclass(frozen=True, eq=False)
-class Theorem4Report:
+class Theorem4Report(CheckReport):
     """Per-level distance of the operator from the single value f(m).
 
     ``distances[j]`` is the grid sup of |operator - f(m)| at level j;
@@ -226,10 +226,6 @@ class Theorem4Report:
     monotone_decreasing: bool
 
     @property
-    def ok(self) -> bool:
-        return self.failing_index is None
-
-    @property
     def within_bound(self) -> bool:
         """``ok`` under its older name, which the benchmark workloads still read."""
         return self.ok
@@ -243,15 +239,13 @@ def theorem4_experiment(
     f: FunctionSpec, n: int, fam: RatioFamily, cfg: BoundConfig = DEFAULT_CONFIG
 ) -> Theorem4Report:
     """Run the fixed-degree, growing-beta collapse experiment."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    levels = tuple(fam.levels())
+    ps = tuple(StancuParams(n, a, b) for a, b in levels)
     m = fam.ratio_m
     f_at_m = float(f(m))
     vals = _samples(f, cfg)
     slack = _modulus(vals, cfg.mod_step)
-    levels = tuple(fam.levels())
     grid = uniform_grid(cfg.sup_grid_size)
-    ps = tuple(StancuParams(int(n), a, b) for a, b in levels)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
     bounds = np.array([_modulus(vals, 2.0 * n / (n + b)) + slack for _, b in levels])
     return Theorem4Report(

@@ -23,8 +23,6 @@ from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     BoundConfig,
     DEFAULT_CONFIG,
@@ -33,10 +31,10 @@ from .bounds import (
     sup_error_and_distance,
     theorem4_experiment,
 )
-from .figures import FIGURES, NODE_HEADER, build_figure, csv_rows, fmt, node_rows, with_overrides
-from .nodes import check_theorem1, check_theorem2, check_theorem3
-from .operators import (BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, _as_unit_interval,
-                        evaluate, uniform_grid)
+from .figures import (FIGURES, NODE_HEADER, build_figure, csv_rows, curve_table, fmt, node_rows,
+                      with_overrides)
+from .nodes import check_theorem1, check_theorem2, check_theorem3, node_table
+from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, _as_unit_interval, uniform_grid
 
 __all__ = ["main"]
 
@@ -92,8 +90,7 @@ def _parse_list(raw: str, cast) -> list:
 def _eval_lines(f, ps, blocks):
     yield "x,f,bernstein,stancu"
     for xs in blocks:
-        cols = [xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T]
-        yield from csv_rows([c.tolist() for c in cols])
+        yield from csv_rows(curve_table(f, ps, xs))
 
 
 def cmd_eval(args) -> int:
@@ -158,8 +155,8 @@ def _check_t3(args) -> int:
     m = reports[0].ratio_m
     cols = [range(args.n + 1)]
     for q in params:
-        nodes = q.node_values()
-        cols += [nodes.tolist(), np.abs(nodes - m).tolist()]
+        _, nodes, _, _, dist = node_table(q, m)
+        cols += [nodes.tolist(), dist.tolist()]
     header = "k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))
     _emit([header] + csv_rows(cols), args.out)
     for p1, p2, report in zip(params, params[1:], reports):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import svg
+from .nodes import node_table
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = ["FIGURES", "FigureJob", "build_figure"]
@@ -87,27 +88,16 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
     return job
 
 
-def _curve_columns(job: FigureJob) -> tuple[list[str], list[list[float]]]:
-    """Header and columns x, f, bernstein, stancu[, stancu2, stancu3]."""
-    f = FunctionSpec.builtin(job.function)
-    grid = uniform_grid(job.grid_size)
-    header = ["x", "f", "bernstein"]
-    header += ["stancu" if i == 0 else f"stancu{i + 1}" for i in range(len(job.pairs))]
-    ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
-    cols = [grid, np.asarray(f(grid), dtype=float), *evaluate(f, ps, grid).T]
-    return header, [c.tolist() for c in cols]
+def curve_table(f: FunctionSpec, ps, xs: np.ndarray) -> list[list[float]]:
+    """Columns x, f(x) and one per operator in ``ps``, as Python floats."""
+    return [c.tolist() for c in (xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T)]
 
 
 def _node_columns(p: StancuParams) -> list:
     """Columns k, bernstein_node, stancu_node, gap and, when beta > 0, the
     distances of both families to m = alpha/beta."""
-    plain = StancuParams(p.n).node_values()
-    shifted = p.node_values()
-    cols = [range(p.n + 1), plain.tolist(), shifted.tolist(), (shifted - plain).tolist()]
-    if p.beta > 0.0:
-        m = p.alpha / p.beta
-        cols += [np.abs(plain - m).tolist(), np.abs(shifted - m).tolist()]
-    return cols
+    m = p.alpha / p.beta if p.beta > 0.0 else None
+    return [range(p.n + 1), *(c.tolist() for c in node_table(p, m))]
 
 
 def _node_csv_rows(cols: list) -> list[str]:
@@ -135,8 +125,14 @@ def _nodes_csv(job: FigureJob, blocks: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_svg(job: FigureJob, header: list[str], cols: list[list[float]]) -> str:
-    labels = header[1:3] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
+def _curve_csv(job: FigureJob, cols: list[list[float]]) -> str:
+    """Header x,f,bernstein,stancu[,stancu2,stancu3] and the rows of ``cols``."""
+    more = "".join(f",stancu{i}" for i in range(2, len(job.pairs) + 1))
+    return "\n".join([f"x,f,bernstein,stancu{more}"] + csv_rows(cols)) + "\n"
+
+
+def _curve_svg(job: FigureJob, cols: list[list[float]]) -> str:
+    labels = ["f", "bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     series = cols[1:]
     title = f"{job.figure_id}: {job.function}, n={job.n}"
     return svg.line_chart(cols[0], series, labels, _CURVE_COLORS[: len(series)], title)
@@ -156,8 +152,8 @@ def _nodes_svg(job: FigureJob, blocks: list) -> str:
 def build_figure(job: FigureJob) -> tuple[str, str]:
     """Return (csv_text, svg_text) for a figure job."""
     if job.kind == "curve":
-        header, cols = _curve_columns(job)
-        csv_text = "\n".join([",".join(header)] + csv_rows(cols)) + "\n"
-        return csv_text, _curve_svg(job, header, cols)
+        ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
+        cols = curve_table(FunctionSpec.builtin(job.function), ps, uniform_grid(job.grid_size))
+        return _curve_csv(job, cols), _curve_svg(job, cols)
     blocks = [_node_columns(StancuParams(job.n, a, b)) for a, b in job.pairs]
     return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

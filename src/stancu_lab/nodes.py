@@ -14,10 +14,13 @@ geometric facts about those two point sets into plain per-index data:
   around m, with distance ratio (n + beta1)/(n + beta2)
   (``check_theorem3``).
 
+Every check, node CSV and node figure reads ``node_table``: both node
+families, their gaps and, given m, their distances to m.
+
 Reports are data, not prose; harnesses assert on their fields. Each check
 computes one per-entry flag array, applying its tolerance there and only
 there, and stores the first entry that breaks it as ``failing_index``
-(None when every entry holds); ``ok`` is ``failing_index is None``.
+(None when every entry holds); ``CheckReport.ok`` is ``failing_index is None``.
 """
 
 from __future__ import annotations
@@ -50,9 +53,13 @@ GAP_CUSHION = 1e-12
 DIST_CUSHION = 1e-15
 
 
-def _gaps(p: StancuParams) -> np.ndarray:
-    """Displacement (k + alpha)/(n + beta) - k/n of every shifted node."""
-    return p.node_values() - StancuParams(p.n).node_values()
+def node_table(p: StancuParams, m: float | None = None) -> tuple[np.ndarray, ...]:
+    """(k/n, (k + alpha)/(n + beta), their gap) over k = 0..n, and, when ``m``
+    is given, the distances |k/n - m| and |(k + alpha)/(n + beta) - m|."""
+    plain = StancuParams(p.n).node_values()
+    shifted = p.node_values()
+    table = (plain, shifted, shifted - plain)
+    return table if m is None else table + (np.abs(plain - m), np.abs(shifted - m))
 
 
 def first_failure(flags: np.ndarray) -> int | None:
@@ -60,15 +67,23 @@ def first_failure(flags: np.ndarray) -> int | None:
     return None if flags.all() else int(np.argmin(flags))
 
 
-def _between(plain, outer, inner, m) -> np.ndarray:
-    """Per index whose plain node k/n is off m: ``inner`` lies strictly
-    between m and ``outer`` (t2, t3)."""
+def _between(plain, bern_dist, outer, inner, m) -> np.ndarray:
+    """Per index whose plain node k/n is off m (``bern_dist`` = |k/n - m|):
+    ``inner`` lies strictly between m and ``outer`` (t2, t3)."""
     inside = np.where(plain > m, (m < inner) & (inner < outer), (outer < inner) & (inner < m))
-    return inside | (np.abs(plain - m) <= CROSSING_TOL)
+    return inside | (bern_dist <= CROSSING_TOL)
+
+
+class CheckReport:
+    """The verdict every check report shares; the report stores ``failing_index``."""
+
+    @property
+    def ok(self) -> bool:
+        return self.failing_index is None
 
 
 @dataclass(frozen=True, eq=False)
-class Theorem1Report:
+class Theorem1Report(CheckReport):
     """Per-degree maximal node displacement against the (alpha+beta)/(n+beta) bound.
 
     Only the gaps are checked. The bounds need no verdict of their own:
@@ -83,10 +98,6 @@ class Theorem1Report:
     bounds: np.ndarray
     failing_index: int | None
 
-    @property
-    def ok(self) -> bool:
-        return self.failing_index is None
-
 
 def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     """Check the even-distribution claim along a strictly increasing degree sweep.
@@ -100,7 +111,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
         raise ValueError("n_sequence must be non-empty")
     if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
         raise ValueError("n_sequence must be strictly increasing")
-    max_gaps = np.array([np.abs(_gaps(q)).max() for q in params])
+    max_gaps = np.array([np.abs(node_table(q)[2]).max() for q in params])
     bounds = np.array([q.displacement_bound() for q in params])
     return Theorem1Report(
         degrees=degrees,
@@ -111,7 +122,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterReport:
+class ClusterReport(CheckReport):
     """How the shifted nodes sit around the ratio m = alpha/beta.
 
     ``stancu_dist`` equals ``contraction * bernstein_dist`` up to float
@@ -130,10 +141,6 @@ class ClusterReport:
     identity_error: float
     failing_index: int | None
 
-    @property
-    def ok(self) -> bool:
-        return self.failing_index is None
-
 
 def check_theorem2(p: StancuParams) -> ClusterReport:
     """Check the contraction of the shifted nodes toward m = alpha/beta (beta > 0)."""
@@ -141,15 +148,11 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
         raise ValueError("beta must be positive: the ratio alpha/beta is undefined at 0")
     n, a, b = p.n, p.alpha, p.beta
     m = a / b
-    plain = StancuParams(n).node_values()
-    shifted = p.node_values()
-    gaps = shifted - plain
+    plain, shifted, gaps, bern_dist, stan_dist = node_table(p, m)
     contraction = n / (n + b)
-    bern_dist = np.abs(plain - m)
-    stan_dist = np.abs(shifted - m)
     identity_error = float(np.abs((shifted - m) - contraction * (plain - m)).max())
     crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
-    flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, plain, shifted, m)
+    flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, bern_dist, plain, shifted, m)
     return ClusterReport(
         ratio_m=m,
         bernstein_dist=bern_dist,
@@ -163,7 +166,7 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
 
 
 @dataclass(frozen=True, eq=False)
-class Theorem3Report:
+class Theorem3Report(CheckReport):
     """Nesting of two node families sharing the ratio m = alpha/beta.
 
     With beta2 > beta1 the second family sits strictly between the first
@@ -182,10 +185,6 @@ class Theorem3Report:
     distance_identity_error: float
     failing_index: int | None
 
-    @property
-    def ok(self) -> bool:
-        return self.failing_index is None
-
 
 def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     """Check nesting for two shift pairs with equal ratio and beta2 >= beta1."""
@@ -201,11 +200,8 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     if abs(m1 - m2) > 1e-12 * max(1.0, abs(m1)):
         raise ValueError(f"ratio mismatch: {m1!r} vs {m2!r}")
     m = m1
-    plain = StancuParams(n).node_values()
-    nodes1 = p1.node_values()
-    nodes2 = p2.node_values()
-    dist1 = np.abs(nodes1 - m)
-    dist2 = np.abs(nodes2 - m)
+    plain, nodes1, _, bern_dist, dist1 = node_table(p1, m)
+    _, nodes2, _, _, dist2 = node_table(p2, m)
     factor = (n + b1) / (n + b2)
 
     diff_identity = float(
@@ -214,8 +210,8 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     dist_identity = float(np.abs(dist2 - factor * dist1).max())
 
     if b2 > b1:
-        off = np.abs(plain - m) > CROSSING_TOL
-        flags = _between(plain, nodes1, nodes2, m) & ((dist2 < dist1) | ~off)
+        off = bern_dist > CROSSING_TOL
+        flags = _between(plain, bern_dist, nodes1, nodes2, m) & ((dist2 < dist1) | ~off)
     else:
         # identical ratios with equal beta mean identical families
         flags = nodes1 == nodes2

@@ -24,11 +24,9 @@ steps, which a zero running sum always does. One point runs the same
 operations in the same order as two ufunc accumulates along k, which
 leaves a call mostly fixed numpy dispatch; so ``evaluate`` reads a lone
 point as a float and sends it straight to its endpoint value or its half,
-without the masks that sort a grid (n = 50 / 1000: 22 / 47 us a call, not
-36 / 62 us, and 1 ms before the accumulates). A grid steps its two halves
-as the two rows of one stream over preallocated arrays updated in place,
-the same roundings in the same order (n = 1000, 1001 points: 2.0 ms, not
-2.7 ms, on a 2-core Xeon); accumulating such a grid along k was 5-10x
+without the masks that sort a grid. A grid steps its two halves as the two
+rows of one stream over preallocated arrays updated in place, the same
+roundings in the same order; accumulating such a grid along k was 5-10x
 slower.
 """
 

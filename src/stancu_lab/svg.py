@@ -65,13 +65,17 @@ def _legend(parts, labels, colors):
 
 
 def line_chart(xs, series, labels, colors, title) -> str:
-    """Polyline chart of one or more y-series over a shared x in [0, 1]."""
+    """Polyline chart of one or more y-series over a shared x in [0, 1]; a
+    padded y range that is not positive and finite raises ValueError."""
     ys = np.asarray(series, dtype=float)
     lo, hi = float(ys.min()), float(ys.max())
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    # a constant beyond about 2**53 stays 0 wide; a range beyond the float maximum is inf
+    if not 0.0 < hi - lo < np.inf:
+        raise ValueError(f"cannot scale the y range [{float(ys.min())!r}, {float(ys.max())!r}]")
 
     def fy(y):
         # the same IEEE operations, in the same order, for a float or an array

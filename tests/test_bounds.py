@@ -327,8 +327,10 @@ def test_ratio_family_validation():
         RatioFamily(1.0, 2.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         RatioFamily(1.0, 2.0, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        theorem4_experiment(SIN15, 0, RatioFamily(1.0, 2.0, (1.0,)))
+    # the degree follows the StancuParams rule: an integer >= 1, not a bool
+    for n in (True, 0, 2.0, -3):
+        with pytest.raises(ValueError):
+            theorem4_experiment(SIN15, n, RatioFamily(1.0, 2.0, (1.0,)))
 
 
 @pytest.mark.parametrize("alpha0,beta0,scales", [

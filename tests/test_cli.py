@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import stancu_lab
+from stancu_lab import StancuParams
 from stancu_lab.cli import main
+from stancu_lab.nodes import node_table
 
 
 def run(capsys, *argv):
@@ -129,15 +131,16 @@ def test_eval_bad_point_names_the_flag(capsys, tmp_path, x):
 
 
 def test_eval_point_is_evaluated_once(capsys, monkeypatch):
-    import stancu_lab.cli as cli
+    import stancu_lab.figures as figures
 
-    calls, evaluate = [], cli.evaluate
+    # eval builds its columns with the curve-figure builder
+    calls, evaluate = [], figures.evaluate
 
     def counted(f, ps, xs):
         calls.append(len(xs))
         return evaluate(f, ps, xs)
 
-    monkeypatch.setattr(cli, "evaluate", counted)
+    monkeypatch.setattr(figures, "evaluate", counted)
     rc, out, _ = run(capsys, "eval", "--n", "50", "--alpha", "20", "--beta", "30", "--x", "0.5")
     assert rc == 0
     assert len(out.splitlines()) == 2
@@ -246,6 +249,21 @@ def test_check_t3_ratio_mismatch(capsys):
     assert "ratio" in err
 
 
+def test_check_t3_columns_come_from_the_node_table(capsys):
+    pairs = [(4.7, 10.0), (47.0, 100.0), (470.0, 1000.0)]
+    argv = ["check", "t3", "--n", "100"]
+    for a, b in pairs:
+        argv += ["--pair", f"{a},{b}"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    header, rows = csv_rows(out)
+    assert header == ["k", "node_0", "dist_0", "node_1", "dist_1", "node_2", "dist_2"]
+    for i, (a, b) in enumerate(pairs):
+        _, nodes, _, _, dist = node_table(StancuParams(100, a, b), 4.7 / 10.0)
+        assert [row[1 + 2 * i] for row in rows] == list(map(repr, nodes.tolist()))
+        assert [row[2 + 2 * i] for row in rows] == list(map(repr, dist.tolist()))
+
+
 def test_check_t3_validates_every_pair_before_writing(capsys):
     for pairs in (("0,0", "0,0"), ("4.7,10", "47,100", "48,100")):
         argv = ["check", "t3", "--n", "10"]
@@ -272,7 +290,7 @@ def test_check_t4_bound_and_epsilon(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--epsilon", "nan"), ("--epsilon", "0"), ("--epsilon", "-0.5"), ("--epsilon", "inf"),
-    ("--scales", "1,nan"), ("--scales", "1,inf"), ("--scales", "nan"),
+    ("--scales", "1,nan"), ("--scales", "1,inf"), ("--scales", "nan"), ("--n", "0"),
 ])
 def test_check_t4_rejects_invalid_input(capsys, flag, value):
     rc, out, err = run(capsys, "check", "t4", "--n", "10", "--alpha", "1", "--beta", "2",

@@ -7,11 +7,12 @@ hash is pinned: ``np.sin`` may differ in the last bit across CPUs, but
 the formatting and the chart arithmetic must not.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import FunctionSpec, StancuParams, apply_operator_curve, evaluate, svg
@@ -40,14 +41,16 @@ def assert_cells(rows, cols):
 
 
 def scalar_polylines(xs, series):
-    """``svg.line_chart``'s points, one value at a time."""
-    # a numpy scalar divides by a zero range as the chart's arrays do
-    lo = np.float64(min(min(ys) for ys in series))
+    """``svg.line_chart``'s points, one value at a time, or None where the
+    padded y range is not positive and finite."""
+    lo = min(min(ys) for ys in series)
     hi = max(max(ys) for ys in series)
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if not 0.0 < hi - lo < math.inf:
+        return None
 
     def fy(y):
         return svg._BOTTOM - (y - lo) / (hi - lo) * (svg._BOTTOM - svg._TOP)
@@ -95,6 +98,16 @@ def test_node_figure_cells_and_markers(capsys, tmp_path, fid):
     assert cx == [svg._num(svg._fx(x)) for fam in families for x in fam.tolist()]
 
 
+@pytest.mark.parametrize("fid,argv", [
+    ("f1", "eval --function sin15 --n 50 --alpha 20 --beta 30 --grid 1001"),
+    ("f3", "nodes --n 25 --alpha 17 --beta 100"),
+])
+def test_figure_csv_equals_the_matching_command(capsys, tmp_path, fid, argv):
+    run_figure(capsys, tmp_path, fid)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / f"{fid}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("grid", [11, 4097])  # 4097: eval formats blocks of 4096 points
 def test_eval_grid_cells(capsys, grid):
     p = StancuParams(250, 20.0, 30.0)
@@ -120,14 +133,19 @@ def charts(draw):
 
 
 @given(charts())
+# a constant beyond 2**53 keeps a zero y range; a range beyond the float maximum is inf
+@example(([0.0, 1.0], [[9007199254740996.0] * 2]))
+@example(([0.0, 1.0], [[-1e308, 1e308]]))
 @settings(max_examples=200, deadline=None)
 def test_line_chart_points_match_the_scalar_formula(chart):
     xs, series = chart
-    # huge values give a zero or infinite y range, and nan points, on both sides
-    with np.errstate(all="ignore"):
-        text = svg.line_chart(xs, series, ["s"] * len(series), ["red"] * len(series), "t")
-        expected = scalar_polylines(xs, series)
-    assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+    expected = scalar_polylines(xs, series)
+    args = (xs, series, ["s"] * len(series), ["red"] * len(series), "t")
+    if expected is None:
+        with pytest.raises(ValueError, match="y range"):
+            svg.line_chart(*args)
+    else:
+        assert re.findall(r'<polyline points="([^"]*)"', svg.line_chart(*args)) == expected
 
 
 @given(

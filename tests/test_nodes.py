@@ -14,6 +14,7 @@ from stancu_lab import (
     check_theorem2,
     check_theorem3,
 )
+from stancu_lab.nodes import node_table
 
 params_strategy = st.builds(
     lambda n, b, frac: StancuParams(n, frac * b, b),
@@ -50,6 +51,20 @@ def test_nodes_equidistant(p):
     assert nodes.size == p.n + 1
     assert np.abs(np.diff(nodes) - 1.0 / (p.n + p.beta)).max() <= 1e-15
     assert float(nodes[0]) >= 0.0 and float(nodes[-1]) <= 1.0
+
+
+@pytest.mark.parametrize("n,alpha,beta", [(10, 0.0, 0.0), (25, 17.0, 100.0), (100, 4.7, 10.0),
+                                          (7, 3.0, 3.0)])
+def test_node_table_matches_the_node_formulas(n, alpha, beta):
+    k = np.arange(n + 1)
+    plain, shifted = k / n, (k + alpha) / (n + beta)
+    expected = [plain, shifted, shifted - plain]
+    table = node_table(StancuParams(n, alpha, beta))
+    if beta > 0.0:
+        m = alpha / beta
+        expected += [np.abs(plain - m), np.abs(shifted - m)]
+        table = node_table(StancuParams(n, alpha, beta), m)
+    assert [c.tobytes() for c in table] == [c.tobytes() for c in expected]
 
 
 def test_node_gap_values():
