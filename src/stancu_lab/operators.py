@@ -20,20 +20,21 @@ supported degree range. The weights sit within a few sqrt(n x (1 - x))
 of k = n x, so the recurrence, stepped in k and vectorised across
 points, stops as soon as no remaining term can change a bit of the
 running sum at any point: the result is bit-identical to running all n
-steps, which a zero running sum always does. One point runs the same
-operations in the same order as two ufunc accumulates along k, which
-leaves a call mostly fixed numpy dispatch; so ``evaluate`` reads a lone
-point as a float and sends it straight to its endpoint value or its half,
-without the masks that sort a grid. A grid steps its two halves as the two
-rows of one stream over preallocated arrays updated in place, the same
-roundings in the same order; accumulating such a grid along k was 5-10x
-slower.
+steps, which a zero running sum always does. A lone point is checked by
+two float comparisons and sent to its endpoint value or to ``_point``,
+which runs the same operations in the same order as two ufunc accumulates
+along k, with no grid masks. A grid steps its two halves as the two rows
+of one stream (``_stream``) over preallocated arrays updated in place, the
+same roundings in the same order; accumulating it along k was 5-10x
+slower. Both read a cached ratio table per degree, and a FunctionSpec is
+sampled at the nodes unchecked: StancuParams keeps them in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,13 +119,15 @@ class FunctionSpec:
 
     def __call__(self, x):
         arr = _as_unit_interval(x, what=f"argument of {self.name}")
+        out = self._sample(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _sample(self, t) -> np.ndarray:
+        """The values at points t already known to lie in [0, 1], unchecked."""
+        t = np.asarray(t, dtype=float)  # node_values() of Fraction shifts holds objects
         if self.samples is None:
-            out = _BUILTIN_EVAL[self.name](arr)
-        else:
-            out = np.interp(arr, *self._table)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+            return _BUILTIN_EVAL[self.name](t)
+        return np.interp(t, *self._table)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,35 @@ class SampledCurve:
 
 
 _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
+_TOO_LARGE = "degree n={} too large for float64 basis recurrence"
 _CHECK_EVERY = 4
+
+
+@lru_cache(maxsize=16)
+def _ratios(n: int) -> np.ndarray:
+    """The step ratios (n - k)/(k + 1), k = 0..n-1, read-only."""
+    ratios = np.arange(float(n), 0.0, -1.0) / np.arange(1.0, n + 1)
+    ratios.setflags(write=False)
+    return ratios
+
+
+def _point(fn: np.ndarray, u: float) -> np.ndarray:
+    """``_stream`` at one point u, shape (1[, C]): its operations in its order.
+
+    Entry 2k of the running product of [seed, r, c_1, r, c_2, ...] is the
+    loop's (b_{k-1} r) c_k; 0.0 + seed keeps its sign of a zero sum. The seed
+    is an array power: Python's ** and np.float64's can differ in the last bit.
+    """
+    n = fn.shape[0] - 1
+    w = 1.0 - u
+    b = (np.array([w]) ** n)[0]
+    if b < _TINY:
+        raise ValueError(_TOO_LARGE.format(n))
+    fac = np.empty(2 * n + 1)
+    fac[0], fac[1::2], fac[2::2] = b, u / w, _ratios(n)
+    terms = (fn.T * np.multiply.accumulate(fac)[::2]).T
+    terms[0] = 0.0 + terms[0]
+    return np.add.accumulate(terms)[-1:]
 
 
 def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -196,30 +227,19 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     (R[, C], W). Forward ratio recurrence
     b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from the seed (1 - u)**n,
     accumulated in ascending k; the basis is updated once per step for all
-    columns. One point runs the recurrence and the sum as two ufunc
-    accumulates along k; wider streams step k in Python, in place and
-    vectorised across rows and points, and stop once no remaining term can
-    change the sum at any point or column. Either way the result is
-    bit-identical to the full n steps. Degrees large enough to underflow
-    the seed are rejected rather than silently returning zeros.
+    columns. The steps run in Python, in place and vectorised across rows
+    and points, and stop once no remaining term can change the sum at any
+    point or column, so the result is bit-identical to the full n steps.
+    ``evaluate`` sends a lone point to ``_point``. Degrees large enough to
+    underflow the seed are rejected rather than silently returning zeros.
     """
     n = fn.shape[0] - 1
     u = u[:, None] if fn.ndim == 3 else u
     w = 1.0 - u
     b = w**n
     if float(b.min()) < _TINY:
-        raise ValueError(f"degree n={n} too large for float64 basis recurrence")
+        raise ValueError(_TOO_LARGE.format(n))
     r = u / w
-    ratios = np.arange(float(n), 0.0, -1.0) / np.arange(1.0, n + 1)  # (n - k)/(k + 1)
-    if u.size == 1:
-        # Every other entry of the running product of [seed, r, c_1, r,
-        # c_2, ...] is (b_{k-1} r) c_k, the loop's products in its order;
-        # the 0.0 + seed keeps the loop's sign of a zero sum.
-        fac = np.empty(2 * n + 1)
-        fac[0], fac[1::2], fac[2::2] = b[0], r[0], ratios
-        terms = (fn.T * np.multiply.accumulate(fac)[::2]).T
-        terms[0] = 0.0 + terms[0]
-        return np.add.accumulate(terms)[-1:].T
     vals = fn[..., None]  # (n+1[, R][, C], 1): each step's values, broadcast over u
     acc = 0.0 + vals[0] * b
     tmp = np.empty_like(acc)
@@ -228,7 +248,7 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     fmax = float(np.abs(fn).max())  # read only by the exact stop below
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
-    for k, (v, c) in enumerate(zip(vals[1:], ratios.tolist()), 1):
+    for k, (v, c) in enumerate(zip(vals[1:], _ratios(n).tolist()), 1):
         # in place: the third argument is the output (faster than out=)
         np.multiply(b, r, b)
         np.multiply(b, c, b)
@@ -272,17 +292,25 @@ def evaluate(f, p, xs) -> np.ndarray:
     recurrence would hit 0**0 there); points x > 1/2 are reflected to
     1 - x with the node values reversed.
     """
-    xs = _as_unit_interval(xs).reshape(-1)
-    ps = (p,) if isinstance(p, StancuParams) else tuple(p)
-    if not ps or any(q.n != ps[0].n for q in ps):
-        raise ValueError("operators evaluated together must share one degree")
-    cols = [np.asarray(f(q.node_values()), dtype=float) for q in ps]
-    fn = cols[0] if isinstance(p, StancuParams) else np.stack(cols, axis=1)
-    if xs.size == 1:  # one point: no masks, gathers or scatters
-        x = float(xs[0])
-        if x in (0.0, 1.0):
-            return (fn[:1] if x == 0.0 else fn[-1:]).copy()
-        return (_stream(fn, xs) if x <= 0.5 else _stream(fn[::-1], 1.0 - xs)).T
+    if not isinstance(xs, float):  # np.float64 is a float too
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        xs = float(xs[0]) if xs.size == 1 else _as_unit_interval(xs)
+    if isinstance(xs, float) and not 0.0 <= xs <= 1.0:  # NaN fails both tests, +-inf one
+        raise ValueError("x must lie in [0, 1]")
+    # No range re-check at the nodes: t_0 = alpha/(n + beta) >= 0, and rounding
+    # is monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
+    sample = f._sample if isinstance(f, FunctionSpec) else f
+    if isinstance(p, StancuParams):
+        fn = np.asarray(sample(p.node_values()), dtype=float)
+    else:
+        ps = tuple(p)
+        if not ps or any(q.n != ps[0].n for q in ps):
+            raise ValueError("operators evaluated together must share one degree")
+        fn = np.stack([np.asarray(sample(q.node_values()), dtype=float) for q in ps], axis=1)
+    if isinstance(xs, float):  # one point: no masks, gathers or scatters
+        if xs in (0.0, 1.0):
+            return (fn[:1] if xs == 0.0 else fn[-1:]).copy()
+        return _point(fn, xs) if xs <= 0.5 else _point(fn[::-1], 1.0 - xs)
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]

@@ -1,14 +1,17 @@
 """Core operator tests: basis stability, moment identities, operator algebra."""
 
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import (
+    BUILTIN_FUNCTIONS,
     FunctionSpec,
     StancuParams,
     apply_operator,
@@ -312,6 +315,69 @@ def test_batched_evaluation_needs_one_shared_degree():
         evaluate(f, (StancuParams(10), StancuParams(11, 1.0, 2.0)), 0.3)
     with pytest.raises(ValueError):
         evaluate(f, (), 0.3)
+
+
+ONE_POINT_FORMS = (float, np.float64, lambda x: np.array([x]), np.array)  # 0-d last
+
+
+@pytest.mark.parametrize("n", [1, 50, 1000])
+def test_one_point_inputs_match_the_grid_path(n):
+    # a lone point takes the one-point path in every input form; the grid
+    # path at the same x is the reference
+    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
+    f = FunctionSpec.builtin("sin15")
+    grid = np.concatenate([uniform_grid(101), [1e-9, 0.77, 1.0 - 1e-9]])
+    want = evaluate(f, ps, grid).view(np.int64)
+    for x, row in zip(grid.tolist(), want):
+        for form in ONE_POINT_FORMS:
+            assert (evaluate(f, ps, form(x)).view(np.int64) == row).all()
+            assert (evaluate(f, ps[1], form(x)).view(np.int64) == row[1]).all()
+        assert np.float64(apply_operator(f, ps[1], x)).view(np.int64) == row[1]
+
+
+def test_one_point_inputs_reject_an_underflowing_degree():
+    f = FunctionSpec.builtin("sin15")
+    ps = (StancuParams(1023), StancuParams(1023, 20.0, 30.0))
+    too_large = "degree n=1023 too large for float64 basis recurrence"
+    with pytest.raises(ValueError, match=too_large):
+        apply_operator(f, ps[1], 0.5)
+    for form in ONE_POINT_FORMS:
+        for p in (ps, ps[1]):
+            with pytest.raises(ValueError, match=too_large):
+                evaluate(f, p, form(0.5))
+
+
+ANY_FLOAT = st.floats(0.0, sys.float_info.max)  # subnormals and ~1e308 included
+
+
+@given(n=st.integers(1, 2000) | st.sampled_from([10**4, 10**5, 10**6]),
+       shifts=st.lists(ANY_FLOAT, min_size=2, max_size=2).map(sorted))
+@example(n=1, shifts=[5e-324, 5e-324])
+@example(n=2000, shifts=[sys.float_info.max, sys.float_info.max])
+@example(n=10**6, shifts=[1e308, sys.float_info.max])
+@example(n=7, shifts=[0.0, 5e-324])
+@settings(max_examples=200, deadline=None)
+def test_node_values_are_finite_and_lie_in_the_unit_interval(n, shifts):
+    # evaluate samples a FunctionSpec at node_values() without a range
+    # check; this is the premise that makes the check redundant
+    t = StancuParams(n, *shifts).node_values()
+    assert np.isfinite(t).all() and t.min() >= 0.0 and t.max() <= 1.0
+
+
+TABULATED = FunctionSpec.tabulated("walk", np.linspace(0.0, 1.0, 9), np.cos(np.arange(9.0)))
+
+
+@pytest.mark.parametrize("f", [FunctionSpec.builtin(name) for name in BUILTIN_FUNCTIONS]
+                         + [TABULATED], ids=lambda f: f.name)
+@given(n=st.integers(1, 300), shifts=st.lists(ANY_FLOAT, min_size=2, max_size=2).map(sorted))
+@settings(max_examples=25, deadline=None)
+def test_unchecked_sampling_matches_the_checked_call(f, n, shifts):
+    # the unchecked node sampler gives the same bits as calling the spec,
+    # also for exact Fraction shifts, whose node_values() is an object array
+    for p in (StancuParams(n, *shifts), StancuParams(n, *map(Fraction, shifts))):
+        for xs in (uniform_grid(33), 0.3, 0.77):
+            want = evaluate(lambda t: f(t), p, xs).view(np.int64)
+            assert (evaluate(f, p, xs).view(np.int64) == want).all()
 
 
 def test_curve_memory_does_not_grow_with_degree():
