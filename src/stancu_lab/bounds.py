@@ -12,7 +12,7 @@ sup-error of an operator against f, the distance between the shifted and
 plain operators (bounded by omega of the maximal node displacement), the
 two-term upper estimate
 
-    omega(f; (alpha + beta)/(n + beta)) + c1 * omega(f; n**-0.5)
+    omega(f; (alpha + beta)/(n + beta)) + C1 * omega(f; n**-0.5)
 
 that must dominate the measured sup-error, and the fixed-degree
 growing-beta experiment in which the operator collapses onto the single
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import CheckReport, first_failure
+from .nodes import CheckReport, first_failure, same_ratio
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = [
@@ -44,9 +44,8 @@ __all__ = [
 ]
 
 # Sharp absolute constant for the classical sup-norm estimate of the plain
-# operator at step n**-1/2 (Sikkema's constant); configurable because only
-# dominance is asserted, never this particular value.
-DEFAULT_C1 = 1.0898873
+# operator at step n**-1/2 (Sikkema's constant).
+C1 = 1.0898873
 
 # t4 noise floor: a constant f has bound 0 while its distance carries rounding
 NOISE_FLOOR = 1e-12
@@ -54,15 +53,12 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Grid resolutions and the absolute constant of the two-term estimate."""
+    """Grid resolutions of the modulus and sup-norm measurements."""
 
-    c1: float = DEFAULT_C1
     mod_grid_size: int = 10001
     sup_grid_size: int = 1001
 
     def __post_init__(self):
-        if not (self.c1 > 0.0):
-            raise ValueError("c1 must be positive")
         for size in (self.mod_grid_size, self.sup_grid_size):
             uniform_grid(size, 0, 0)  # the one grid-size rule: an integer >= 2
         if self.mod_grid_size < 101 or self.sup_grid_size < 101:
@@ -71,10 +67,6 @@ class BoundConfig:
     @property
     def mod_step(self) -> float:
         return 1.0 / (self.mod_grid_size - 1)
-
-    @property
-    def sup_step(self) -> float:
-        return 1.0 / (self.sup_grid_size - 1)
 
 
 DEFAULT_CONFIG = BoundConfig()
@@ -86,7 +78,7 @@ def _samples(f: FunctionSpec, cfg: BoundConfig) -> np.ndarray:
 
 
 def _modulus(vals: np.ndarray, delta: float) -> float:
-    """``modulus_of_continuity`` for a positive finite delta, from the samples ``vals``."""
+    """``modulus_of_continuity`` for a finite delta >= 0, from the samples ``vals``."""
     m = vals.size
     w = int(math.floor(delta * (m - 1)))
     if w <= 0:
@@ -163,12 +155,9 @@ def sup_error_and_distance(
 
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
-    """Two-term upper estimate omega(f; (a+b)/(n+b)) + c1 * omega(f; n**-0.5)."""
+    """Two-term upper estimate omega(f; (a+b)/(n+b)) + C1 * omega(f; n**-0.5)."""
     vals = _samples(f, cfg)
-    shift = p.displacement_bound()
-    term1 = _modulus(vals, shift) if shift > 0.0 else 0.0
-    term2 = cfg.c1 * _modulus(vals, p.n ** -0.5)
-    return term1 + term2
+    return _modulus(vals, p.displacement_bound()) + C1 * _modulus(vals, p.n ** -0.5)
 
 
 @dataclass(frozen=True)
@@ -192,9 +181,10 @@ class RatioFamily:
         if any(b <= a for a, b in zip(s, s[1:])):
             raise ValueError("scale factors must be strictly increasing")
         object.__setattr__(self, "scale_factors", s)
-        m = self.alpha0 / self.beta0
-        for a, b in self.levels():
-            if not abs(a / b - m) <= 1e-12 * max(1.0, m):
+        for v, (a, b) in zip(s, self.levels()):
+            if b == math.inf:
+                raise ValueError(f"scale factor {v!r} overflows the pair to ({a!r}, {b!r})")
+            if not same_ratio(self.ratio_m, a / b):
                 raise ValueError("scaled pair drifts off the common ratio")
 
     @property

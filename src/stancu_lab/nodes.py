@@ -62,6 +62,12 @@ def node_table(p: StancuParams, m: float | None = None) -> tuple[np.ndarray, ...
     return table if m is None else table + (np.abs(plain - m), np.abs(shifted - m))
 
 
+def same_ratio(m1: float, m2: float) -> bool:
+    """Whether user-given quotients alpha/beta share m: within 1e-12 (relative
+    above 1), so 4.7/10 matches 47/100, and NaN matches nothing."""
+    return abs(m1 - m2) <= 1e-12 * max(1.0, abs(m1))
+
+
 def first_failure(flags: np.ndarray) -> int | None:
     """Index of the first False entry of a per-entry flag array, or None."""
     return None if flags.all() else int(np.argmin(flags))
@@ -197,7 +203,7 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     if a1 > a2 or b1 > b2:
         raise ValueError("need alpha1 <= alpha2 and beta1 <= beta2")
     m1, m2 = a1 / b1, a2 / b2
-    if abs(m1 - m2) > 1e-12 * max(1.0, abs(m1)):
+    if not same_ratio(m1, m2):
         raise ValueError(f"ratio mismatch: {m1!r} vs {m2!r}")
     m = m1
     plain, nodes1, _, bern_dist, dist1 = node_table(p1, m)

@@ -23,11 +23,12 @@ running sum at any point: the result is bit-identical to running all n
 steps, which a zero running sum always does. A lone point is checked by
 two float comparisons and sent to its endpoint value or to ``_point``,
 which runs the same operations in the same order as two ufunc accumulates
-along k, with no grid masks. A grid steps its two halves as the two rows
-of one stream (``_stream``) over preallocated arrays updated in place, the
-same roundings in the same order; accumulating it along k was 5-10x
-slower. Both read a cached ratio table per degree, and a FunctionSpec is
-sampled at the nodes unchecked: StancuParams keeps them in [0, 1].
+along k, with no grid masks. A grid steps its non-empty halves as the
+rows of one stream (``_stream``) over preallocated arrays updated in
+place, the same roundings in the same order; accumulating it along k was
+5-10x slower. Both read a cached ratio table per degree, and a
+FunctionSpec is sampled at the nodes unchecked: StancuParams keeps them
+in [0, 1].
 """
 
 from __future__ import annotations
@@ -219,12 +220,11 @@ def _point(fn: np.ndarray, u: float) -> np.ndarray:
 
 
 def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k fn[k] * b_{n,k}(u) for interior points 0 < u <= 1/2.
+    """Row j: sum_k fn[k, j] * b_{n,k}(u[j]) at interior points 0 < u <= 1/2.
 
-    ``fn`` holds the n+1 node values, shape (n+1,) or (n+1, C) for C
-    columns (the result is then (C, len(u))). A stream of R rows takes
-    u (R, W) and fn (n+1, R[, C]), row j over fn[:, j], and returns
-    (R[, C], W). Forward ratio recurrence
+    A stream of R rows takes u of shape (R, W) and the node values fn of
+    shape (n+1, R), or (n+1, R, C) for C columns, row j over fn[:, j]; it
+    returns (R[, C], W). Forward ratio recurrence
     b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from the seed (1 - u)**n,
     accumulated in ascending k; the basis is updated once per step for all
     columns. The steps run in Python, in place and vectorised across rows
@@ -314,21 +314,17 @@ def evaluate(f, p, xs) -> np.ndarray:
     out = np.empty(xs.shape + fn.shape[1:])
     out[xs == 0.0] = fn[0]
     out[xs == 1.0] = fn[-1]
-    left = (xs > 0.0) & (xs <= 0.5)
-    right = (xs > 0.5) & (xs < 1.0)
-    ul, ur = xs[left], 1.0 - xs[right]
-    if ul.size and ur.size:
-        # One stream, a row per half: u = x over the node values, u = 1 - x
-        # over them reversed. The shorter row is padded with copies of its
-        # own points, which stop exactly as those points do.
-        width = max(ul.size, ur.size)
-        sums = _stream(np.stack((fn, fn[::-1]), axis=1),
-                       np.array([np.resize(ul, width), np.resize(ur, width)]))
-        out[left], out[right] = sums[0][..., : ul.size].T, sums[1][..., : ur.size].T
-    elif ul.size:
-        out[left] = _stream(fn, ul).T
-    elif ur.size:
-        out[right] = _stream(fn[::-1], ur).T
+    # One stream, a row per non-empty half: u = x over the node values,
+    # u = 1 - x over them reversed. The shorter row is padded with copies
+    # of its own points, which stop exactly as those points do.
+    left, right = (xs > 0.0) & (xs <= 0.5), (xs > 0.5) & (xs < 1.0)
+    rows = [(m, u[m], g) for m, u, g in ((left, xs, fn), (right, 1.0 - xs, fn[::-1])) if m.any()]
+    if rows:
+        width = max(u.size for _, u, _ in rows)
+        sums = _stream(np.stack([g for *_, g in rows], axis=1),
+                       np.array([np.resize(u, width) for _, u, _ in rows]))
+        for (m, u, _), s in zip(rows, sums):
+            out[m] = s[..., : u.size].T
     return out
 
 
@@ -356,7 +352,7 @@ def moment_closed_form(i: int, p: StancuParams, x):
 
     Accepts a scalar or an array of evaluation points.
     """
-    if i not in (0, 1, 2):
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or i not in (0, 1, 2):
         raise ValueError("moment index must be 0, 1 or 2")
     arr = _as_unit_interval(x)
     n, a, b = p.n, p.alpha, p.beta

@@ -54,6 +54,7 @@ from stancu_lab import (
     sup_error,
     theorem4_experiment,
 )
+from stancu_lab.bounds import C1
 from stancu_lab.cli import main as cli_main
 
 E = {name: FunctionSpec.builtin(name) for name in ("e0", "e1", "e2", "sin15", "abshalf")}
@@ -154,7 +155,7 @@ def test_criterion_06_operator_distance_bound():
 
 
 def test_criterion_07_two_term_dominance():
-    assert DEFAULT_CONFIG.c1 == 1.0898873
+    assert C1 == 1.0898873
     ok = True
     worst_margin = np.inf
     for name in CONTINUOUS:
@@ -177,7 +178,7 @@ def _gamma(k):
 
 
 def test_criterion_08_classical_rate_window():
-    h = DEFAULT_CONFIG.sup_step
+    h = 1.0 / (DEFAULT_CONFIG.sup_grid_size - 1)
     grid = np.linspace(0.0, 1.0, DEFAULT_CONFIG.sup_grid_size)
     exact_grid = [Fraction(float(x)) for x in grid]
     ok = True

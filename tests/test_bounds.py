@@ -40,6 +40,8 @@ from stancu_lab import (
     sup_error_and_distance,
     theorem4_experiment,
 )
+from stancu_lab.bounds import C1
+from stancu_lab.nodes import same_ratio
 
 OMEGA_SIN15_001 = 0.14985941454144064
 T4_LEVEL_DISTANCES = (
@@ -201,9 +203,8 @@ def test_two_term_bound_zero_for_constant():
 
 
 def test_two_term_bound_linear_hand_value():
-    cfg = BoundConfig(c1=1.09)
-    got = corollary2_bound(E1, StancuParams(100, 20.0, 30.0), cfg)
-    assert got == pytest.approx(50.0 / 130.0 + 1.09 * 0.1, abs=3e-4)
+    got = corollary2_bound(E1, StancuParams(100, 20.0, 30.0))
+    assert got == pytest.approx(50.0 / 130.0 + C1 * 0.1, abs=3e-4)
 
 
 def test_two_term_bound_dominates_sup_error():
@@ -231,7 +232,7 @@ def test_bounds_sample_f_once_on_the_modulus_grid():
     f = Counted(SIN15)
     assert corollary2_bound(f, p) == (
         modulus_of_continuity(SIN15, p.displacement_bound())
-        + DEFAULT_CONFIG.c1 * modulus_of_continuity(SIN15, p.n ** -0.5)
+        + C1 * modulus_of_continuity(SIN15, p.n ** -0.5)
     )
     assert f.grid_calls == 1
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
@@ -240,6 +241,14 @@ def test_bounds_sample_f_once_on_the_modulus_grid():
     want = [modulus_of_continuity(SIN15, 200.0 / (100 + b)) + grid_slack(SIN15)
             for _, b in fam.levels()]
     assert f.grid_calls == 1 and rep.bounds.tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 25, 100, 1000])
+def test_two_term_bound_without_shift_is_the_classical_term(n):
+    # a zero shift spans no grid step, so the first modulus is exactly 0.0
+    for f in (E1, SIN15, ABSHALF, WALK):
+        got = corollary2_bound(f, StancuParams(n))
+        assert got == C1 * modulus_of_continuity(f, n ** -0.5)
 
 
 def implied_c(f, p, cfg=DEFAULT_CONFIG):
@@ -252,8 +261,7 @@ def test_derive_c_values():
     p = StancuParams(100, 20.0, 30.0)
     assert corollary2_bound(E0, p) == 0.0
     assert modulus_of_continuity(E0, p.n ** -0.5) == 0.0
-    cfg = BoundConfig(c1=1.09)
-    assert implied_c(E1, p, cfg) == pytest.approx(4.9362, abs=3e-3)
+    assert implied_c(E1, p) == pytest.approx(4.9362, abs=3e-3)
 
 
 def test_derive_c_nonincreasing_in_beta_when_alpha_dominates_degree():
@@ -345,9 +353,28 @@ def test_ratio_family_rejects_non_finite_values(alpha0, beta0, scales):
         RatioFamily(alpha0, beta0, scales)
 
 
+@pytest.mark.parametrize("alpha0,beta0,scales", [
+    (1.0, 2.0, (1e308, 1.7e308)),  # (1e308, inf)
+    (4.7, 10.0, (1.0, 1e308)),  # (inf, inf)
+])
+def test_ratio_family_names_an_overflowing_scaled_pair(alpha0, beta0, scales):
+    with pytest.raises(ValueError, match="overflows the pair to") as exc:
+        RatioFamily(alpha0, beta0, scales)
+    assert "inf)" in str(exc.value) and "drifts" not in str(exc.value)
+
+
+def test_ratio_family_shares_the_ratio_rule_of_check_theorem3():
+    assert same_ratio(4.7 / 10.0, 47.0 / 100.0)
+    assert not same_ratio(4.7 / 10.0, 48.0 / 100.0)
+    assert not same_ratio(math.nan, math.nan)
+    # 4.7 * 10 is the pair (47.0, 100.0), which check_theorem3 also accepts
+    assert RatioFamily(4.7, 10.0, (1.0, 10.0)).levels()[1] == (47.0, 100.0)
+    # subnormal products round off the ratio: 4.69e-321 / 9.98e-321
+    with pytest.raises(ValueError, match="drifts off the common ratio"):
+        RatioFamily(4.7, 10.0, (1e-321,))
+
+
 def test_bound_config_validation():
-    with pytest.raises(ValueError):
-        BoundConfig(c1=0.0)
     with pytest.raises(ValueError):
         BoundConfig(mod_grid_size=50)
     with pytest.raises(ValueError):
@@ -358,4 +385,4 @@ def test_bound_config_validation():
         BoundConfig(sup_grid_size=1001.5)
     cfg = BoundConfig()
     assert cfg.mod_step == pytest.approx(1e-4)
-    assert cfg.sup_step == pytest.approx(1e-3)
+    assert vars(cfg) == {"mod_grid_size": 10001, "sup_grid_size": 1001}

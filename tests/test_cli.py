@@ -300,6 +300,14 @@ def test_check_t4_rejects_invalid_input(capsys, flag, value):
     assert err.startswith("error:")
 
 
+def test_check_t4_names_an_overflowing_scale(capsys):
+    rc, out, err = run(capsys, "check", "t4", "--n", "10", "--alpha", "1", "--beta", "2",
+                       "--scales", "1e308,1.7e308")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: scale factor 1e+308 overflows the pair to (1e+308, inf)\n"
+
+
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     import stancu_lab.cli as cli
     from stancu_lab import ClusterReport, StancuParams, Theorem1Report, Theorem3Report, Theorem4Report

@@ -205,8 +205,9 @@ def test_theorem3_identical_families_degenerate():
 
 def test_theorem3_validation():
     p = StancuParams(100, 4.7, 10.0)
-    with pytest.raises(ValueError):
-        check_theorem3(p, StancuParams(100, 48.0, 100.0))  # ratio mismatch
+    assert check_theorem3(p, StancuParams(100, 47.0, 100.0)).ratio_m == 4.7 / 10.0
+    with pytest.raises(ValueError, match="ratio mismatch"):
+        check_theorem3(p, StancuParams(100, 48.0, 100.0))
     with pytest.raises(ValueError):
         check_theorem3(p, StancuParams(50, 47.0, 100.0))  # degree mismatch
     with pytest.raises(ValueError):

@@ -335,6 +335,26 @@ def test_one_point_inputs_match_the_grid_path(n):
         assert np.float64(apply_operator(f, ps[1], x)).view(np.int64) == row[1]
 
 
+# grids of one half only, halves of unequal size, and endpoints
+ONE_STREAM_GRIDS = (uniform_grid(1001, 1, 501), uniform_grid(1001, 501, 1000),
+                    np.array([0.1, 0.2, 0.3, 0.8]), np.array([0.6, 0.4, 0.9, 0.95, 0.2]),
+                    np.array([0.0, 1.0]), np.array([1.0, 0.25, 0.0]), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 50, 1000])
+def test_every_grid_matches_the_one_point_path(n, count):
+    # a grid's non-empty halves are the rows of one stream; each column must
+    # equal a per-point evaluation at the same x
+    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS + ((17.0, 100.0),))[:count]
+    p = ps[0] if count == 1 else ps
+    f = FunctionSpec.builtin("sin15")
+    for xs in ONE_STREAM_GRIDS:
+        got = evaluate(f, p, xs).reshape(xs.size, -1).view(np.int64)
+        for x, row in zip(xs.tolist(), got):
+            assert (evaluate(f, p, x).reshape(-1).view(np.int64) == row).all()
+
+
 def test_one_point_inputs_reject_an_underflowing_degree():
     f = FunctionSpec.builtin("sin15")
     ps = (StancuParams(1023), StancuParams(1023, 20.0, 30.0))
@@ -443,8 +463,11 @@ def test_moments_match_operator_on_random_sweep():
 
 
 def test_moment_rejects_bad_index():
-    with pytest.raises(ValueError):
-        moment_closed_form(3, StancuParams(4), 0.5)
+    # the index follows the StancuParams rule for n: an integer, not a bool
+    for i in (3, -1, True, False, 1.0, 2.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match="moment index must be 0, 1 or 2"):
+            moment_closed_form(i, StancuParams(4), 0.5)
+    assert moment_closed_form(np.int64(1), StancuParams(4), 0.5) == 0.5
 
 
 # ---------------------------------------------------- specs and params
