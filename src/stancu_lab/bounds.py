@@ -30,7 +30,6 @@ from .nodes import CheckReport, first_failure, same_ratio
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = [
-    "BoundConfig",
     "DEFAULT_CONFIG",
     "RatioFamily",
     "Theorem4Report",
@@ -53,16 +52,10 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Grid resolutions of the modulus and sup-norm measurements."""
+    """The fixed grid resolutions of the modulus and sup-norm measurements."""
 
     mod_grid_size: int = 10001
     sup_grid_size: int = 1001
-
-    def __post_init__(self):
-        for size in (self.mod_grid_size, self.sup_grid_size):
-            uniform_grid(size, 0, 0)  # the one grid-size rule: an integer >= 2
-        if self.mod_grid_size < 101 or self.sup_grid_size < 101:
-            raise ValueError("grid sizes must be >= 101")
 
     @property
     def mod_step(self) -> float:
@@ -72,9 +65,9 @@ class BoundConfig:
 DEFAULT_CONFIG = BoundConfig()
 
 
-def _samples(f: FunctionSpec, cfg: BoundConfig) -> np.ndarray:
+def _samples(f: FunctionSpec) -> np.ndarray:
     """f on the modulus grid: each caller samples once and scans as often as it needs."""
-    return np.asarray(f(uniform_grid(cfg.mod_grid_size)), dtype=float)
+    return np.asarray(f(uniform_grid(DEFAULT_CONFIG.mod_grid_size)), dtype=float)
 
 
 def _modulus(vals: np.ndarray, delta: float) -> float:
@@ -95,7 +88,7 @@ def _modulus(vals: np.ndarray, delta: float) -> float:
     return float((hi - lo).max())
 
 
-def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+def modulus_of_continuity(f: FunctionSpec, delta: float) -> float:
     """omega(f; delta): max |f(x1) - f(x2)| over grid pairs with |x1 - x2| <= delta.
 
     The answer is the largest (window max - window min) over all windows
@@ -106,57 +99,55 @@ def modulus_of_continuity(f: FunctionSpec, delta: float, cfg: BoundConfig = DEFA
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError("delta must be positive")
-    return _modulus(_samples(f, cfg), delta)
+    return _modulus(_samples(f), delta)
 
 
-def grid_slack(f: FunctionSpec, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+def grid_slack(f: FunctionSpec) -> float:
     """omega(f; one grid step): the slack grid maxima owe to true suprema."""
-    return modulus_of_continuity(f, cfg.mod_step, cfg)
+    return modulus_of_continuity(f, DEFAULT_CONFIG.mod_step)
 
 
 def _max_error(f: FunctionSpec, grid: np.ndarray, values: np.ndarray) -> float:
     return float(np.abs(values - np.asarray(f(grid), dtype=float)).max())
 
 
-def sup_error(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+def sup_error(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |operator value - f|, the uniform-norm proxy."""
-    grid = uniform_grid(cfg.sup_grid_size)
+    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     return _max_error(f, grid, evaluate(f, p, grid))
 
 
-def _scan(f, p, cfg, error: bool) -> tuple[float | None, float]:
+def _scan(f, p, error: bool) -> tuple[float | None, float]:
     """(sup-error of p, or None unless ``error``, and p's distance from the
     plain operator) over the sup grid; f is sampled there only for the error."""
-    grid = uniform_grid(cfg.sup_grid_size)
+    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
     sup = _max_error(f, grid, shifted) if error else None
     return sup, float(np.abs(shifted - plain).max())
 
 
-def operator_distance(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+def operator_distance(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |shifted operator - plain operator| at the same degree.
 
     Every node moves by at most (alpha + beta)/(n + beta), so this is
     bounded by omega(f; (alpha + beta)/(n + beta)) plus grid slack.
     """
-    return _scan(f, p, cfg, error=False)[1]
+    return _scan(f, p, error=False)[1]
 
 
-def sup_error_and_distance(
-    f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
-    """``(sup_error(f, p, cfg), operator_distance(f, p, cfg))`` from one evaluation.
+def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, float]:
+    """``(sup_error(f, p), operator_distance(f, p))`` from one evaluation.
 
     The shifted and plain operators share one basis recurrence, so a
     single batched ``evaluate`` yields both grid maxima, each
     bit-identical to its own function.
     """
-    return _scan(f, p, cfg, error=True)
+    return _scan(f, p, error=True)
 
 
-def corollary2_bound(f: FunctionSpec, p: StancuParams, cfg: BoundConfig = DEFAULT_CONFIG) -> float:
+def corollary2_bound(f: FunctionSpec, p: StancuParams) -> float:
     """Two-term upper estimate omega(f; (a+b)/(n+b)) + C1 * omega(f; n**-0.5)."""
-    vals = _samples(f, cfg)
+    vals = _samples(f)
     return _modulus(vals, p.displacement_bound()) + C1 * _modulus(vals, p.n ** -0.5)
 
 
@@ -225,17 +216,15 @@ class Theorem4Report(CheckReport):
         return float(self.distances[-1])
 
 
-def theorem4_experiment(
-    f: FunctionSpec, n: int, fam: RatioFamily, cfg: BoundConfig = DEFAULT_CONFIG
-) -> Theorem4Report:
+def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily) -> Theorem4Report:
     """Run the fixed-degree, growing-beta collapse experiment."""
     levels = tuple(fam.levels())
     ps = tuple(StancuParams(n, a, b) for a, b in levels)
     m = fam.ratio_m
     f_at_m = float(f(m))
-    vals = _samples(f, cfg)
-    slack = _modulus(vals, cfg.mod_step)
-    grid = uniform_grid(cfg.sup_grid_size)
+    vals = _samples(f)
+    slack = _modulus(vals, DEFAULT_CONFIG.mod_step)
+    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
     bounds = np.array([_modulus(vals, 2.0 * n / (n + b)) + slack for _, b in levels])
     return Theorem4Report(

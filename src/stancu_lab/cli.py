@@ -7,9 +7,7 @@ as CSV + SVG) and ``converge`` (sup-error scan along a degree sweep).
 Each subcommand accepts exactly the flags it reads.
 
 Exit codes: 0 success, 1 a checked assertion failed, 2 usage or
-validation error. CSV goes to stdout unless ``--out`` names a file; the
-environment variable ``STANCU_LAB_GRID=<mod_grid>,<sup_grid>`` overrides
-the default measurement grids.
+validation error. CSV goes to stdout unless ``--out`` names a file.
 """
 
 from __future__ import annotations
@@ -23,34 +21,13 @@ from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 
-from .bounds import (
-    BoundConfig,
-    DEFAULT_CONFIG,
-    RatioFamily,
-    corollary2_bound,
-    sup_error_and_distance,
-    theorem4_experiment,
-)
+from .bounds import RatioFamily, corollary2_bound, sup_error_and_distance, theorem4_experiment
 from .figures import (FIGURES, NODE_HEADER, build_figure, csv_rows, curve_table, fmt, node_rows,
                       with_overrides)
 from .nodes import check_theorem1, check_theorem2, check_theorem3, node_table
 from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, _as_unit_interval, uniform_grid
 
 __all__ = ["main"]
-
-
-def _env_config() -> BoundConfig:
-    raw = os.environ.get("STANCU_LAB_GRID")
-    if not raw:
-        return DEFAULT_CONFIG
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError("STANCU_LAB_GRID must look like '<mod_grid>,<sup_grid>'")
-    try:
-        mod_size, sup_size = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError("STANCU_LAB_GRID must hold two integers") from None
-    return BoundConfig(mod_grid_size=mod_size, sup_grid_size=sup_size)
 
 
 _BLOCK = 4096
@@ -69,7 +46,12 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
                 stream.write("\n".join(block) + "\n")
     except OSError as exc:
         if out is None:
-            raise
+            # bytes a partial write left in the buffer then flush at exit to
+            # nowhere, not to the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            out = "stdout"
         raise ValueError(f"cannot write {out}: {exc}") from None
 
 
@@ -177,7 +159,7 @@ def _check_t4(args) -> int:
     f = FunctionSpec.builtin(args.function)
     scales = _parse_list(args.scales, float)
     fam = RatioFamily(args.alpha, args.beta, tuple(scales))
-    report = theorem4_experiment(f, args.n, fam, _env_config())
+    report = theorem4_experiment(f, args.n, fam)
     cols = [range(len(report.levels)), *zip(*report.levels),
             report.distances.tolist(), report.bounds.tolist()]
     _emit(["level,alpha,beta,distance,bound"] + csv_rows(cols), args.out)
@@ -222,15 +204,10 @@ def cmd_converge(args) -> int:
     degrees = _parse_list(args.n_list, int)
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("--n-list must be non-empty and strictly increasing")
-    cfg = _env_config()
     rows = []
     for n in degrees:
         p = StancuParams(n, args.alpha, args.beta)
-        rows.append((
-            *sup_error_and_distance(f, p, cfg),
-            corollary2_bound(f, p, cfg),
-            p.displacement_bound(),
-        ))
+        rows.append((*sup_error_and_distance(f, p), corollary2_bound(f, p), p.displacement_bound()))
     header = "n,sup_error,operator_distance,corollary2_bound,t1_bound"
     _emit([header] + csv_rows([degrees, *zip(*rows)]), args.out)
     for n, (sup, _, bound, _) in zip(degrees, rows):
@@ -315,7 +292,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a degree too large to allocate is a rejected input, like any other
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""CLI surface tests: schemas, exit codes, determinism, env override."""
+"""CLI surface tests: schemas, exit codes, determinism, closed pipes."""
 
 import os
 import subprocess
@@ -21,14 +21,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def run_module(*argv):
-    """``python -m stancu_lab`` in a child that imports this same package copy."""
+def module_command(*argv):
+    """``python -m stancu_lab`` and the environment of a child that imports
+    this same package copy."""
     src = str(Path(stancu_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "stancu_lab", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return [sys.executable, "-m", "stancu_lab", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
+    cmd, env = module_command(*argv)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def csv_rows(out):
@@ -385,6 +388,21 @@ def test_out_to_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("nodes", "--n", "1000000000000000"),
+    ("eval", "--n", "1000000000000000", "--x", "0.5"),
+    ("check", "t1", "--n-list", "5,1000000000000000"),
+], ids=["nodes", "eval-x", "t1"])
+def test_degree_too_large_to_allocate_is_a_usage_error(capsys, tmp_path, argv):
+    # a 7 PiB node table is refused at once, before --out is opened
+    target = tmp_path / "x.csv"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "allocate" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("--alpha", ("check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4",
                  "--alpha", "5", "--beta", "1")),
@@ -498,7 +516,9 @@ def test_figure_rejects_grid_on_node_figures(capsys, tmp_path):
 
 def test_figure_validates_overrides_before_creating_the_directory(capsys, tmp_path):
     out = tmp_path / "new"
-    for override in (("--grid", "1"), ("--n", "0"), ("--alpha", "5", "--beta", "1")):
+    # 10**15 is a degree whose node table cannot be allocated
+    for override in (("--grid", "1"), ("--n", "0"), ("--alpha", "5", "--beta", "1"),
+                     ("--n", "1000000000000000")):
         rc, _, err = run(capsys, "figure", "f1", *override, "--out", str(out))
         assert rc == 2
         assert err.startswith("error:")
@@ -552,24 +572,26 @@ def test_converge_rejects_degree_flag(flag):
     assert proc.stdout == "" and "unrecognized arguments" in proc.stderr
 
 
-# ------------------------------------------------------------------ env
+# -------------------------------------------------------------- process
 
 
-def test_env_grid_override_changes_measurement(capsys, monkeypatch):
-    argv = ["converge", "--function", "sin15", "--alpha", "2", "--beta", "5",
-            "--n-list", "10,20"]
-    rc, out_default, _ = run(capsys, *argv)
-    assert rc == 0
-    monkeypatch.setenv("STANCU_LAB_GRID", "2001,101")
-    rc, out_coarse, _ = run(capsys, *argv)
-    assert rc == 0
-    assert out_default != out_coarse
-
-
-def test_env_grid_malformed_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("STANCU_LAB_GRID", "2001")
-    rc, _, err = run(capsys, "converge", "--function", "e1", "--n-list", "5,10")
-    assert rc == 2 and "STANCU_LAB_GRID" in err
+@pytest.mark.parametrize("header,argv", [
+    ("x,", ("eval", "--function", "sin15", "--n", "50", "--grid", "200001")),
+    ("k,", ("nodes", "--n", "100000")),
+], ids=["eval-grid", "nodes"])
+def test_closed_stdout_is_a_usage_error_without_traceback(header, argv):
+    # like `... | head -n 1`: the reader leaves after one line of megabytes
+    cmd, env = module_command(*argv)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert first.startswith(header)
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: cannot write stdout")
 
 
 def test_module_entry_point():
