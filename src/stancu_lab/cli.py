@@ -44,6 +44,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             it = iter(lines)
             while block := list(islice(it, _BLOCK)):
                 stream.write("\n".join(block) + "\n")
+            stream.flush()  # status lines too: a closed stdout fails here, not at exit
     except OSError as exc:
         if out is None:
             # bytes a partial write left in the buffer then flush at exit to
@@ -112,7 +113,7 @@ def _check_t1(args) -> int:
         n = report.degrees[report.failing_index]
         print(f"t1: FAIL at n={n}: max_gap exceeds bound", file=sys.stderr)
         return 1
-    print("t1: OK")
+    _emit(["t1: OK"], None)
     return 0
 
 
@@ -124,7 +125,7 @@ def _check_t2(args) -> int:
         print(f"t2: FAIL at k={report.failing_index}", file=sys.stderr)
         return 1
     crossings = ",".join(str(k) for k in report.crossing_indices) or "none"
-    print(f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})")
+    _emit([f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})"], None)
     return 0
 
 
@@ -149,7 +150,7 @@ def _check_t3(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    print(f"t3: OK (m={fmt(m)})")
+    _emit([f"t3: OK (m={fmt(m)})"], None)
     return 0
 
 
@@ -174,7 +175,8 @@ def _check_t4(args) -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"t4: OK (final distance {fmt(report.final_distance)} at f(m)={fmt(report.f_at_m)})")
+    _emit([f"t4: OK (final distance {fmt(report.final_distance)} "
+           f"at f(m)={fmt(report.f_at_m)})"], None)
     return 0
 
 
@@ -194,8 +196,7 @@ def cmd_figure(args) -> int:
         svg_path.write_text(svg_text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write figure outputs: {exc}") from None
-    print(csv_path)
-    print(svg_path)
+    _emit([str(csv_path), str(svg_path)], None)
     return 0
 
 

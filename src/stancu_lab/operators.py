@@ -26,16 +26,16 @@ which runs the same operations in the same order as two ufunc accumulates
 along k, with no grid masks. A grid steps its non-empty halves as the
 rows of one stream (``_stream``) over preallocated arrays updated in
 place, the same roundings in the same order; accumulating it along k was
-5-10x slower. Both read a cached ratio table per degree, and a
-FunctionSpec is sampled at the nodes unchecked: StancuParams keeps them
-in [0, 1].
+5-10x slower. Both read a cached ratio table per degree and the node
+table each StancuParams keeps, and sample a FunctionSpec unchecked (the
+nodes lie in [0, 1]), at a lone endpoint at its one node only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class FunctionSpec:
 
     name: str
     samples: tuple[tuple[float, float], ...] | None = None
-    # read-only (abscissae, values) rows built once from samples
-    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # read-only (abscissae, values) arrays built once from samples
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples is None:
@@ -106,7 +106,7 @@ class FunctionSpec:
                 raise ValueError("sample abscissae must start at 0 and end at 1")
             if not (np.diff(xs) > 0.0).all():
                 raise ValueError("sample abscissae must be strictly increasing")
-            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_table", (xs, ys))
 
     @staticmethod
     def builtin(name: str) -> "FunctionSpec":
@@ -149,8 +149,14 @@ class StancuParams:
             raise ValueError("shift parameters must satisfy 0 <= alpha <= beta")
 
     def node_values(self) -> np.ndarray:
-        """The n+1 sample points (k + alpha)/(n + beta), k = 0..n."""
-        return (np.arange(self.n + 1) + self.alpha) / (self.n + self.beta)
+        """The n+1 sample points (k + alpha)/(n + beta), k = 0..n, read-only."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:  # in __dict__, not a field: ==, hash, repr ignore it
+        nodes = (np.arange(self.n + 1) + self.alpha) / (self.n + self.beta)
+        nodes.setflags(write=False)
+        return nodes
 
     def displacement_bound(self) -> float:
         """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
@@ -289,8 +295,9 @@ def evaluate(f, p, xs) -> np.ndarray:
     ``evaluate(f, p[j], xs)``. For one operator, ``f`` maps the node array
     t to values; an (n+1, C) value array gives results of shape
     (len(xs), C). x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
-    recurrence would hit 0**0 there); points x > 1/2 are reflected to
-    1 - x with the node values reversed.
+    recurrence would hit 0**0 there); a lone endpoint samples a
+    FunctionSpec at that node only, other callables at every node. Points
+    x > 1/2 are reflected to 1 - x with the node values reversed.
     """
     if not isinstance(xs, float):  # np.float64 is a float too
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -300,13 +307,16 @@ def evaluate(f, p, xs) -> np.ndarray:
     # No range re-check at the nodes: t_0 = alpha/(n + beta) >= 0, and rounding
     # is monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
     sample = f._sample if isinstance(f, FunctionSpec) else f
+    take = slice(None)  # a FunctionSpec acts element by element: a lone endpoint reads one node
+    if isinstance(f, FunctionSpec) and isinstance(xs, float) and xs in (0.0, 1.0):
+        take = slice(0, 1) if xs == 0.0 else slice(-1, None)
     if isinstance(p, StancuParams):
-        fn = np.asarray(sample(p.node_values()), dtype=float)
+        fn = np.asarray(sample(p.node_values()[take]), dtype=float)
     else:
         ps = tuple(p)
         if not ps or any(q.n != ps[0].n for q in ps):
             raise ValueError("operators evaluated together must share one degree")
-        fn = np.stack([np.asarray(sample(q.node_values()), dtype=float) for q in ps], axis=1)
+        fn = np.stack([np.asarray(sample(q.node_values()[take]), dtype=float) for q in ps], axis=1)
     if isinstance(xs, float):  # one point: no masks, gathers or scatters
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()

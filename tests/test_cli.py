@@ -594,6 +594,33 @@ def test_closed_stdout_is_a_usage_error_without_traceback(header, argv):
     assert err.startswith("error: cannot write stdout")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,written", [
+    (("check", "t2", "--n", "10", "--alpha", "1", "--beta", "2", "--out", "t2.csv"), ["t2.csv"]),
+    (("check", "t4", "--function", "sin15", "--n", "20", "--alpha", "4.7", "--beta", "10",
+      "--out", "t4.csv"), ["t4.csv"]),
+    (("figure", "f2", "--out", "."), ["f2.csv", "f2.svg"]),
+], ids=["t2", "t4", "figure"])
+def test_status_line_to_a_closed_stdout_is_a_usage_error(tmp_path, argv, written, unbuffered):
+    # the files are written; only the status line after them has no reader
+    cmd, env = module_command(*argv)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                              cwd=tmp_path)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout")
+    assert all((tmp_path / name).stat().st_size > 0 for name in written)
+
+
 def test_module_entry_point():
     proc = run_module("eval", "--function", "e0", "--n", "5", "--x", "0.5")
     assert proc.returncode == 0

@@ -1,5 +1,6 @@
 """Core operator tests: basis stability, moment identities, operator algebra."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -398,6 +399,76 @@ def test_unchecked_sampling_matches_the_checked_call(f, n, shifts):
         for xs in (uniform_grid(33), 0.3, 0.77):
             want = evaluate(lambda t: f(t), p, xs).view(np.int64)
             assert (evaluate(f, p, xs).view(np.int64) == want).all()
+
+
+NODE_SHIFTS = ((0.0, 0.0), (20.0, 30.0), (4.7, 10.0), (Fraction(1, 3), Fraction(7, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("shifts", NODE_SHIFTS, ids=str)
+def test_node_table_is_built_once_and_read_only(n, shifts):
+    p = StancuParams(n, *shifts)
+    t = p.node_values()
+    assert p.node_values() is t
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 0.5
+    want = (np.arange(n + 1) + shifts[0]) / (n + shifts[1])
+    assert t.dtype == want.dtype and t.shape == (n + 1,)
+    if t.dtype == object:  # exact Fraction nodes
+        assert all(type(a) is Fraction and a == b for a, b in zip(t, want))
+    else:
+        assert (t.view(np.int64) == want.view(np.int64)).all()
+
+
+def test_node_table_leaves_equality_hash_and_repr_alone():
+    fresh, used = StancuParams(50, 20.0, 30.0), StancuParams(50, 20.0, 30.0)
+    before = (repr(used), hash(used))
+    evaluate(FunctionSpec.builtin("sin15"), used, 0.3)
+    assert used == fresh and (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+    assert [fld.name for fld in dataclasses.fields(used)] == ["n", "alpha", "beta"]
+    copy = dataclasses.replace(used)
+    assert copy == used and copy.node_values() is not used.node_values()
+    moved = dataclasses.replace(used, alpha=25.0)
+    assert moved.node_values()[0] == 25.0 / 80.0 != used.node_values()[0]
+    # the tabulated knots are not compared either
+    walk = FunctionSpec.tabulated("walk", np.linspace(0.0, 1.0, 9), np.cos(np.arange(9.0)))
+    assert walk == TABULATED and hash(walk) == hash(TABULATED)
+
+
+ENDPOINT_PARAMS = ((StancuParams(50, 20.0, 30.0), StancuParams(50), StancuParams(50, 4.7, 10.0)),
+                   (StancuParams(7, Fraction(1, 3), Fraction(7, 2)), StancuParams(7, 5.0, 5.0)),
+                   (StancuParams(1000, 470.0, 1000.0),))
+
+
+@pytest.mark.parametrize("f", [FunctionSpec.builtin(name) for name in BUILTIN_FUNCTIONS]
+                         + [TABULATED], ids=lambda f: f.name)
+@pytest.mark.parametrize("ps", ENDPOINT_PARAMS, ids=lambda ps: f"n{ps[0].n}")
+def test_endpoints_sample_one_node_bit_for_bit(f, ps):
+    # a lone endpoint samples a FunctionSpec at node 0 or node n only; the
+    # value must be that of the grid path and of sampling every node
+    for x, end in ((0.0, 0), (-0.0, 0), (1.0, -1)):
+        grid = evaluate(f, ps, np.array([x, 0.5]))[0].view(np.int64)
+        full = np.array([f(q.node_values())[end] for q in ps]).view(np.int64)
+        assert (grid == full).all()
+        assert (evaluate(f, ps, x)[0].view(np.int64) == full).all()
+        for q, bits in zip(ps, full):
+            assert np.float64(apply_operator(f, q, x)).view(np.int64) == bits
+            assert (evaluate(f, q, x).view(np.int64) == bits).all()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.0])
+def test_other_callables_see_every_node_at_the_endpoints(x):
+    sizes = []
+
+    def onehot(t):
+        sizes.append(t.size)
+        return np.eye(t.size)[3]
+
+    p = StancuParams(10, 1.0, 2.0)
+    assert evaluate(onehot, p, x)[0] == 0.0
+    assert evaluate(onehot, (p, StancuParams(10)), x).tolist() == [[0.0, 0.0]]
+    assert sizes == [11, 11, 11]
+    assert evaluate(lambda t: np.eye(t.size), p, x)[0, 0 if x == 0.0 else 10] == 1.0
 
 
 def test_curve_memory_does_not_grow_with_degree():
