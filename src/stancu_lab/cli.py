@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 from pathlib import Path
 
@@ -33,14 +34,22 @@ __all__ = ["main"]
 _BLOCK = 4096
 
 
+@contextmanager
+def _rewrite(path):
+    """``open(path, "w")`` without O_TRUNC: ext4 writes a truncated file back at close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline="\n") as stream:
+        try:
+            yield stream
+        finally:
+            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):  # only a file has a tail
+                stream.truncate()
+
+
 def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write lines to stdout, or to the file ``out``, one block at a time."""
     try:
-        with (
-            nullcontext(sys.stdout)
-            if out is None
-            else open(out, "w", encoding="utf-8", newline="\n")
-        ) as stream:
+        with nullcontext(sys.stdout) if out is None else _rewrite(out) as stream:
             it = iter(lines)
             while block := list(islice(it, _BLOCK)):
                 stream.write("\n".join(block) + "\n")
@@ -192,8 +201,9 @@ def cmd_figure(args) -> int:
     svg_path = out_dir / f"{job.figure_id}.svg"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(csv_text, encoding="utf-8", newline="\n")
-        svg_path.write_text(svg_text, encoding="utf-8", newline="\n")
+        for path, text in ((csv_path, csv_text), (svg_path, svg_text)):
+            with _rewrite(path) as stream:
+                stream.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write figure outputs: {exc}") from None
     _emit([str(csv_path), str(svg_path)], None)

@@ -158,6 +158,9 @@ class StancuParams:
         nodes.setflags(write=False)
         return nodes
 
+    def __getstate__(self):  # copies and pickles build their own read-only table
+        return {k: v for k, v in vars(self).items() if k != "_nodes"}
+
     def displacement_bound(self) -> float:
         """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
 

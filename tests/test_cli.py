@@ -1,6 +1,7 @@
-"""CLI surface tests: schemas, exit codes, determinism, closed pipes."""
+"""CLI surface tests: schemas, exit codes, determinism, output files, closed pipes."""
 
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 import stancu_lab
 from stancu_lab import StancuParams
-from stancu_lab.cli import main
+from stancu_lab.cli import _BLOCK, _emit, main
 from stancu_lab.nodes import node_table
 
 
@@ -570,6 +571,112 @@ def test_converge_rejects_degree_flag(flag):
     proc = run_module("converge", "--n-list", "10,20", flag, "7")
     assert proc.returncode == 2
     assert proc.stdout == "" and "unrecognized arguments" in proc.stderr
+
+
+# --------------------------------------------------------- output files
+
+# each writer: its argv for the output directory d, and the files it writes there
+WRITERS = {
+    "figure": (lambda d: ["figure", "f1", "--out", str(d)], ["f1.csv", "f1.svg"]),
+    "eval": (lambda d: ["eval", "--n", "50", "--grid", "11", "--out", str(d / "eval.csv")],
+             ["eval.csv"]),
+}
+
+
+def fresh_outputs(capsys, d, writer):
+    argv, names = WRITERS[writer]
+    d.mkdir()
+    assert run(capsys, *argv(d))[0] == 0
+    return {name: (d / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0], ids=["shorter", "longer"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_over_an_old_file_equals_a_fresh_run(capsys, tmp_path, writer, scale):
+    want = fresh_outputs(capsys, tmp_path / "fresh", writer)
+    d = tmp_path / "old"
+    d.mkdir()
+    for name, data in want.items():
+        (d / name).write_bytes(b"~" * int(len(data) * scale))
+    assert run(capsys, *WRITERS[writer][0](d))[0] == 0
+    assert {name: (d / name).read_bytes() for name in want} == want
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_follows_a_symlink_and_keeps_it(capsys, tmp_path, writer):
+    want = fresh_outputs(capsys, tmp_path / "fresh", writer)
+    d, targets = tmp_path / "links", tmp_path / "targets"
+    d.mkdir()
+    targets.mkdir()
+    for name, data in want.items():
+        (targets / name).write_bytes(b"~" * (2 * len(data)))
+        (d / name).symlink_to(targets / name)
+    assert run(capsys, *WRITERS[writer][0](d))[0] == 0
+    for name, data in want.items():
+        assert (d / name).is_symlink() and (d / name).resolve() == targets / name
+        assert (targets / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_keeps_the_file_and_its_mode(capsys, tmp_path, writer):
+    # a new file gets 0o666 less the umask, like open(path, "w")
+    umask = os.umask(0o022)
+    try:
+        fresh_outputs(capsys, tmp_path / "fresh", writer)
+    finally:
+        os.umask(umask)
+    names = WRITERS[writer][1]
+    assert all(stat.S_IMODE((tmp_path / "fresh" / n).stat().st_mode) == 0o644 for n in names)
+    d = tmp_path / "old"
+    d.mkdir()
+    for name in names:
+        (d / name).write_text("old\n" * 50_000)
+        (d / name).chmod(0o604)
+    before = [(d / name).stat().st_ino for name in names]
+    assert run(capsys, *WRITERS[writer][0](d))[0] == 0
+    after = [(d / name).stat() for name in names]
+    assert [st.st_ino for st in after] == before
+    assert all(stat.S_IMODE(st.st_mode) == 0o604 for st in after)
+
+
+def test_out_to_dev_null_writes_and_cuts_nothing(capsys):
+    assert run(capsys, "nodes", "--n", "10", "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.parametrize("kind", ["directory", "read-only", "full"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_output_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, writer, kind):
+    argv, names = WRITERS[writer]
+    path = tmp_path / names[0]
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "read-only":
+        if os.geteuid() == 0:
+            pytest.skip("root may write a read-only file")
+        path.write_text("old\n")
+        path.chmod(0o444)
+    else:
+        path.symlink_to("/dev/full")
+    rc, out, err = run(capsys, *argv(tmp_path))
+    assert (rc, out) == (2, "")
+    name = "figure outputs" if writer == "figure" else path
+    assert err.startswith(f"error: cannot write {name}: ")
+    if kind == "read-only":
+        assert path.read_text() == "old\n"
+
+
+def test_a_stream_cut_short_leaves_only_the_lines_written(tmp_path):
+    # the first block is written; the error comes while the second is gathered
+    target = tmp_path / "cut.csv"
+    target.write_text("stale\n" * (3 * _BLOCK))
+
+    def lines():
+        yield from map(str, range(_BLOCK + 10))
+        raise RuntimeError("cut")
+
+    with pytest.raises(RuntimeError, match="cut"):
+        _emit(lines(), str(target))
+    assert target.read_text() == "".join(f"{i}\n" for i in range(_BLOCK))
 
 
 # -------------------------------------------------------------- process

@@ -1,7 +1,9 @@
 """Core operator tests: basis stability, moment identities, operator algebra."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -433,6 +435,20 @@ def test_node_table_leaves_equality_hash_and_repr_alone():
     # the tabulated knots are not compared either
     walk = FunctionSpec.tabulated("walk", np.linspace(0.0, 1.0, 9), np.cos(np.arange(9.0)))
     assert walk == TABULATED and hash(walk) == hash(TABULATED)
+
+
+@pytest.mark.parametrize("shifts", NODE_SHIFTS[1:], ids=str)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_build_their_own_read_only_table(shifts, clone):
+    p = StancuParams(7, *shifts)
+    t = p.node_values()
+    q = clone(p)
+    assert q == p and hash(q) == hash(p)
+    assert q.node_values().flags.writeable is False
+    assert list(q.node_values()) == list(t)
+    assert not p.node_values().flags.writeable and p.node_values() is t
 
 
 ENDPOINT_PARAMS = ((StancuParams(50, 20.0, 30.0), StancuParams(50), StancuParams(50, 4.7, 10.0)),
