@@ -3,9 +3,12 @@
 Centerpiece is the modulus of continuity omega(f; delta): the largest
 oscillation of f over pairs of points at distance <= delta. It is
 computed exactly on a uniform grid from sliding-window maxima and minima
-(numpy, by window doubling). Grid maxima under-estimate true suprema, so
-every dominance check in this module carries an explicit slack of
-omega(f; grid step).
+(numpy, by window doubling), one doubling pass for every window a call
+needs. A function is sampled once per grid and its samples are cached,
+read-only, by function and grid size, so f must be hashable and give the
+same values on every call (a FunctionSpec hashes by name and samples).
+Grid maxima under-estimate true suprema, so every dominance check in
+this module carries an explicit slack of omega(f; grid step).
 
 On top of omega sit the sup-norm experiment quantities: the measured
 sup-error of an operator against f, the distance between the shifted and
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,27 +69,39 @@ class BoundConfig:
 DEFAULT_CONFIG = BoundConfig()
 
 
-def _samples(f: FunctionSpec) -> np.ndarray:
-    """f on the modulus grid: each caller samples once and scans as often as it needs."""
-    return np.asarray(f(uniform_grid(DEFAULT_CONFIG.mod_grid_size)), dtype=float)
+@lru_cache(maxsize=16)
+def _samples(f: FunctionSpec, size: int) -> np.ndarray:
+    """f on the uniform grid of ``size`` points, read-only, sampled once per (f, size)."""
+    vals = np.array(f(uniform_grid(size)), dtype=float)
+    vals.setflags(write=False)
+    return vals
 
 
-def _modulus(vals: np.ndarray, delta: float) -> float:
-    """``modulus_of_continuity`` for a finite delta >= 0, from the samples ``vals``."""
+def _moduli(vals: np.ndarray, deltas) -> list[float]:
+    """``modulus_of_continuity`` at each delta >= 0, from the samples ``vals``.
+
+    One doubling pass serves every window: hi[i] and lo[i] hold the max
+    and min of vals[i : i + span] for span = 1, 2, 4, ..., and a window of
+    L points is the union of the two windows of the largest span <= L that
+    start at its two ends.
+    """
     m = vals.size
-    w = int(math.floor(delta * (m - 1)))
-    if w <= 0:
-        return 0.0
-    length = min(w, m - 1) + 1
+    # any delta >= 1 spans the whole grid; clamped, delta * (m - 1) stays finite
+    lengths = [math.floor(min(d, 1.0) * (m - 1)) + 1 for d in deltas]
+    omega = {1: 0.0}  # a window of one point does not oscillate
     hi = lo = vals
     span = 1
-    # hi[i] and lo[i] hold the max and min of vals[i : i + span]
-    while span < length:
-        step = min(span, length - span)
-        hi = np.maximum(hi[:-step], hi[step:])
-        lo = np.minimum(lo[:-step], lo[step:])
-        span += step
-    return float((hi - lo).max())
+    for length in sorted(set(lengths) - {1}):
+        while 2 * span <= length:
+            hi = np.maximum(hi[:-span], hi[span:])
+            lo = np.minimum(lo[:-span], lo[span:])
+            span *= 2
+        top, bottom = hi, lo
+        off, end = length - span, m - length + 1  # windows start at 0 .. m - length
+        if off:
+            top, bottom = np.maximum(hi[:end], hi[off:]), np.minimum(lo[:end], lo[off:])
+        omega[length] = float((top - bottom).max())
+    return [omega[length] for length in lengths]
 
 
 def modulus_of_continuity(f: FunctionSpec, delta: float) -> float:
@@ -95,11 +111,12 @@ def modulus_of_continuity(f: FunctionSpec, delta: float) -> float:
     of w + 1 consecutive grid points, where w = floor(delta * (m - 1))
     grid steps fit into delta. Window extremes are built by doubling spans
     in numpy; max and min never round, so the result is exact on the grid.
-    Monotone non-decreasing in delta and at most the global oscillation.
+    Monotone non-decreasing in delta and at most the global oscillation,
+    which every delta >= 1 gives.
     """
     if not (delta > 0.0) or not math.isfinite(delta):
         raise ValueError("delta must be positive")
-    return _modulus(_samples(f), delta)
+    return _moduli(_samples(f, DEFAULT_CONFIG.mod_grid_size), (delta,))[0]
 
 
 def grid_slack(f: FunctionSpec) -> float:
@@ -107,14 +124,14 @@ def grid_slack(f: FunctionSpec) -> float:
     return modulus_of_continuity(f, DEFAULT_CONFIG.mod_step)
 
 
-def _max_error(f: FunctionSpec, grid: np.ndarray, values: np.ndarray) -> float:
-    return float(np.abs(values - np.asarray(f(grid), dtype=float)).max())
+def _max_error(f: FunctionSpec, values: np.ndarray) -> float:
+    """Grid maximum of |values - f| on the sup grid."""
+    return float(np.abs(values - _samples(f, DEFAULT_CONFIG.sup_grid_size)).max())
 
 
 def sup_error(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |operator value - f|, the uniform-norm proxy."""
-    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
-    return _max_error(f, grid, evaluate(f, p, grid))
+    return _max_error(f, evaluate(f, p, uniform_grid(DEFAULT_CONFIG.sup_grid_size)))
 
 
 def _scan(f, p, error: bool) -> tuple[float | None, float]:
@@ -122,7 +139,7 @@ def _scan(f, p, error: bool) -> tuple[float | None, float]:
     plain operator) over the sup grid; f is sampled there only for the error."""
     grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     shifted, plain = evaluate(f, (p, StancuParams(p.n)), grid).T
-    sup = _max_error(f, grid, shifted) if error else None
+    sup = _max_error(f, shifted) if error else None
     return sup, float(np.abs(shifted - plain).max())
 
 
@@ -147,8 +164,9 @@ def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, flo
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams) -> float:
     """Two-term upper estimate omega(f; (a+b)/(n+b)) + C1 * omega(f; n**-0.5)."""
-    vals = _samples(f)
-    return _modulus(vals, p.displacement_bound()) + C1 * _modulus(vals, p.n ** -0.5)
+    vals = _samples(f, DEFAULT_CONFIG.mod_grid_size)
+    shift, classical = _moduli(vals, (p.displacement_bound(), p.n ** -0.5))
+    return shift + C1 * classical
 
 
 @dataclass(frozen=True)
@@ -222,11 +240,11 @@ def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily) -> Theorem4Re
     ps = tuple(StancuParams(n, a, b) for a, b in levels)
     m = fam.ratio_m
     f_at_m = float(f(m))
-    vals = _samples(f)
-    slack = _modulus(vals, DEFAULT_CONFIG.mod_step)
+    windows = (DEFAULT_CONFIG.mod_step, *(2.0 * n / (n + b) for _, b in levels))
+    slack, *omegas = _moduli(_samples(f, DEFAULT_CONFIG.mod_grid_size), windows)
     grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
-    bounds = np.array([_modulus(vals, 2.0 * n / (n + b)) + slack for _, b in levels])
+    bounds = np.array([omega + slack for omega in omegas])
     return Theorem4Report(
         ratio_m=m,
         f_at_m=f_at_m,

@@ -28,7 +28,8 @@ rows of one stream (``_stream``) over preallocated arrays updated in
 place, the same roundings in the same order; accumulating it along k was
 5-10x slower. Both read a cached ratio table per degree and the node
 table each StancuParams keeps, and sample a FunctionSpec unchecked (the
-nodes lie in [0, 1]), at a lone endpoint at its one node only.
+nodes lie in [0, 1]) from the float copy of that table it keeps for
+exact shifts, at a lone endpoint at its one node only.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -123,9 +125,8 @@ class FunctionSpec:
         out = self._sample(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def _sample(self, t) -> np.ndarray:
-        """The values at points t already known to lie in [0, 1], unchecked."""
-        t = np.asarray(t, dtype=float)  # node_values() of Fraction shifts holds objects
+    def _sample(self, t: np.ndarray) -> np.ndarray:
+        """The values at float points t already known to lie in [0, 1], unchecked."""
         if self.samples is None:
             return _BUILTIN_EVAL[self.name](t)
         return np.interp(t, *self._table)
@@ -158,8 +159,15 @@ class StancuParams:
         nodes.setflags(write=False)
         return nodes
 
-    def __getstate__(self):  # copies and pickles build their own read-only table
-        return {k: v for k, v in vars(self).items() if k != "_nodes"}
+    @cached_property
+    def _float_nodes(self) -> np.ndarray:
+        """``node_values()`` as floats, read-only: the same table unless the shifts are exact."""
+        nodes = np.asarray(self._nodes, dtype=float)
+        nodes.setflags(write=False)
+        return nodes
+
+    def __getstate__(self):  # copies and pickles build their own read-only tables
+        return {k: v for k, v in vars(self).items() if k not in ("_nodes", "_float_nodes")}
 
     def displacement_bound(self) -> float:
         """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
@@ -296,7 +304,8 @@ def evaluate(f, p, xs) -> np.ndarray:
     basis depends on n and x only, so one recurrence serves them all and
     the result has shape (len(xs), len(p)), column j bit-identical to
     ``evaluate(f, p[j], xs)``. For one operator, ``f`` maps the node array
-    t to values; an (n+1, C) value array gives results of shape
+    t (``node_values()``, exact for exact shifts; a FunctionSpec gets its
+    float copy) to values; an (n+1, C) value array gives results of shape
     (len(xs), C). x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
     recurrence would hit 0**0 there); a lone endpoint samples a
     FunctionSpec at that node only, other callables at every node. Points
@@ -309,17 +318,18 @@ def evaluate(f, p, xs) -> np.ndarray:
         raise ValueError("x must lie in [0, 1]")
     # No range re-check at the nodes: t_0 = alpha/(n + beta) >= 0, and rounding
     # is monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
-    sample = f._sample if isinstance(f, FunctionSpec) else f
-    take = slice(None)  # a FunctionSpec acts element by element: a lone endpoint reads one node
-    if isinstance(f, FunctionSpec) and isinstance(xs, float) and xs in (0.0, 1.0):
+    spec = isinstance(f, FunctionSpec)  # sampled at the float nodes, element by element
+    sample, nodes = (f._sample, attrgetter("_float_nodes")) if spec else (f, StancuParams.node_values)
+    take = slice(None)  # so a lone endpoint reads one node of a FunctionSpec
+    if spec and isinstance(xs, float) and xs in (0.0, 1.0):
         take = slice(0, 1) if xs == 0.0 else slice(-1, None)
     if isinstance(p, StancuParams):
-        fn = np.asarray(sample(p.node_values()[take]), dtype=float)
+        fn = np.asarray(sample(nodes(p)[take]), dtype=float)
     else:
         ps = tuple(p)
         if not ps or any(q.n != ps[0].n for q in ps):
             raise ValueError("operators evaluated together must share one degree")
-        fn = np.stack([np.asarray(sample(q.node_values()[take]), dtype=float) for q in ps], axis=1)
+        fn = np.stack([np.asarray(sample(nodes(q)[take]), dtype=float) for q in ps], axis=1)
     if isinstance(xs, float):  # one point: no masks, gathers or scatters
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()

@@ -20,6 +20,8 @@ behavior.
 """
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from stancu_lab import (
     theorem4_experiment,
     uniform_grid,
 )
-from stancu_lab.bounds import C1, _modulus
+from stancu_lab.bounds import C1, _moduli, _samples
 from stancu_lab.nodes import same_ratio
 
 OMEGA_SIN15_001 = 0.14985941454144064
@@ -62,6 +64,11 @@ WALK = FunctionSpec.tabulated(
     np.linspace(0.0, 1.0, 65),
     np.concatenate(([0.0], np.cumsum(np.random.default_rng(11).normal(0.0, 0.125, 64)))),
 )
+
+
+# windows of exactly L grid points: powers of two (full doublings only)
+# and one past them (a last step of one)
+WINDOW_POINTS = (2, 3, 4, 5, 8, 9, 1024, 1025)
 
 
 def offset_scan_modulus(f, delta, grid_size):
@@ -97,15 +104,24 @@ def test_modulus_sin15_against_frozen_oracle():
 @pytest.mark.parametrize(
     "delta",
     [0.003, 0.11, 0.5, 2.0, 1.0]
-    # windows of exactly L grid points: powers of two (full doublings only)
-    # and one past them (a last step of one)
-    + [pytest.param((L - 0.5) / 2000, id=f"L{L}") for L in (2, 3, 4, 5, 8, 9, 1024, 1025)],
+    + [pytest.param((L - 0.5) / 2000, id=f"L{L}") for L in WINDOW_POINTS],
 )
 def test_modulus_equals_offset_scan(fname, delta):
     # dual route on the same grid: doubled window max/min and offset scan
     # must agree exactly
     f = WALK if fname == "walk" else FunctionSpec.builtin(fname)
-    assert _modulus(f(uniform_grid(2001)), delta) == offset_scan_modulus(f, delta, 2001)
+    assert _moduli(f(uniform_grid(2001)), (delta,)) == [offset_scan_modulus(f, delta, 2001)]
+
+
+@pytest.mark.parametrize("fname", ["e1", "e2", "sin15", "abshalf", "walk"])
+def test_moduli_one_pass_equals_offset_scan(fname):
+    # one doubling pass answers every window, in any order, with repeats
+    # and windows of zero steps
+    f = WALK if fname == "walk" else FunctionSpec.builtin(fname)
+    deltas = [0.5, 0.003, 2.0, 0.11, 1e-5, 1.0, 0.0, 0.003]
+    deltas += [(L - 0.5) / 2000 for L in WINDOW_POINTS[::-1]]
+    want = [offset_scan_modulus(f, d, 2001) for d in deltas]
+    assert _moduli(f(uniform_grid(2001)), deltas) == want
 
 
 @given(
@@ -116,8 +132,8 @@ def test_modulus_equals_offset_scan(fname, delta):
 @settings(max_examples=60, deadline=None)
 def test_modulus_monotone_in_delta(d1, d2, fname):
     vals = FunctionSpec.builtin(fname)(uniform_grid(1001))
-    lo, hi = sorted((d1, d2))
-    assert _modulus(vals, lo) <= _modulus(vals, hi)
+    lo, hi = _moduli(vals, sorted((d1, d2)))
+    assert lo <= hi
 
 
 def test_modulus_bounded_by_global_oscillation():
@@ -133,6 +149,15 @@ def test_modulus_subadditive_up_to_grid_slack():
         slack = 2.0 * grid_slack(f)
         for delta in (0.01, 0.1, 0.3):
             assert modulus_of_continuity(f, 2 * delta) <= 2 * modulus_of_continuity(f, delta) + slack
+
+
+@pytest.mark.parametrize("delta", [1e305, sys.float_info.max])
+def test_modulus_of_huge_delta_is_the_global_oscillation(delta):
+    # delta * (m - 1) overflows to inf for these: the window is clamped first
+    for f in (E1, SIN15, WALK):
+        vals = f(uniform_grid(DEFAULT_CONFIG.mod_grid_size))
+        osc = float(vals.max() - vals.min())
+        assert modulus_of_continuity(f, delta) == modulus_of_continuity(f, 1.0) == osc
 
 
 def test_modulus_rejects_nonpositive_delta():
@@ -211,31 +236,44 @@ def test_two_term_bound_dominates_sup_error():
 
 
 class Counted:
-    """f, counting the calls that sample it on the modulus grid."""
+    """f, counting the calls that sample it, by the number of points."""
 
     def __init__(self, f):
-        self.f, self.grid_calls = f, 0
+        self.f, self.calls = f, Counter()
 
     def __call__(self, x):
-        self.grid_calls += np.size(x) == DEFAULT_CONFIG.mod_grid_size
+        self.calls[np.size(x)] += 1
         return self.f(x)
 
 
 def test_bounds_sample_f_once_on_the_modulus_grid():
-    # one sampling feeds every modulus a call needs, with the same values
+    # one sampling per grid feeds every modulus and sup-error, across calls,
+    # with the same values
+    mod, sup = DEFAULT_CONFIG.mod_grid_size, DEFAULT_CONFIG.sup_grid_size
     p = StancuParams(100, 20.0, 30.0)
     f = Counted(SIN15)
     assert corollary2_bound(f, p) == (
         modulus_of_continuity(SIN15, p.displacement_bound())
         + C1 * modulus_of_continuity(SIN15, p.n ** -0.5)
     )
-    assert f.grid_calls == 1
+    assert f.calls[mod] == 1
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
-    f = Counted(SIN15)
     rep = theorem4_experiment(f, 100, fam)
     want = [modulus_of_continuity(SIN15, 200.0 / (100 + b)) + grid_slack(SIN15)
             for _, b in fam.levels()]
-    assert f.grid_calls == 1 and rep.bounds.tolist() == want
+    assert f.calls[mod] == 1 and rep.bounds.tolist() == want
+    assert [sup_error(f, q) for q in (p, StancuParams(7))] == [
+        sup_error(SIN15, q) for q in (p, StancuParams(7))]
+    assert sup_error_and_distance(f, p) == sup_error_and_distance(SIN15, p)
+    assert f.calls[mod] == 1 and f.calls[sup] == 1
+    for size in (mod, sup):
+        vals = _samples(f, size)
+        assert not vals.flags.writeable and vals.tolist() == SIN15(uniform_grid(size)).tolist()
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+    assert f.calls[mod] == 1 and f.calls[sup] == 1
+    # at most 16 tables of at most mod_grid_size floats each: under 1.5 MB
+    assert _samples.cache_info().maxsize == 16 and 16 * 8 * max(mod, sup) < 1.5e6
 
 
 @pytest.mark.parametrize("n", [1, 25, 100, 1000])

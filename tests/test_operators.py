@@ -420,6 +420,30 @@ def test_node_table_is_built_once_and_read_only(n, shifts):
         assert all(type(a) is Fraction and a == b for a, b in zip(t, want))
     else:
         assert (t.view(np.int64) == want.view(np.int64)).all()
+    # the float table a FunctionSpec is sampled from: the same array unless exact
+    ft = p._float_nodes
+    assert p._float_nodes is ft and not ft.flags.writeable and ft.dtype == float
+    assert (ft is t) == (t.dtype == float)
+    assert (ft.view(np.int64) == np.asarray(t, dtype=float).view(np.int64)).all()
+
+
+def test_exact_shifts_keep_exact_nodes_for_other_callables(monkeypatch):
+    p = StancuParams(7, Fraction(1, 3), Fraction(7, 2))
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return np.asarray(t, dtype=float)
+
+    evaluate(f, p, 0.3)
+    assert seen[0].base is p.node_values() and seen[0].dtype == object
+    # a FunctionSpec is sampled from the float table, converted once per operator
+    spec, sample = FunctionSpec.builtin("e1"), FunctionSpec._sample
+    seen.clear()
+    monkeypatch.setattr(FunctionSpec, "_sample", lambda self, t: seen.append(t) or sample(self, t))
+    for _ in range(3):
+        evaluate(spec, p, 0.3)
+    assert len(seen) == 3 and all(t.base is p._float_nodes for t in seen)
 
 
 def test_node_table_leaves_equality_hash_and_repr_alone():
@@ -448,6 +472,10 @@ def test_copies_build_their_own_read_only_table(shifts, clone):
     assert q == p and hash(q) == hash(p)
     assert q.node_values().flags.writeable is False
     assert list(q.node_values()) == list(t)
+    p._float_nodes
+    q = clone(p)
+    assert q._float_nodes.flags.writeable is False
+    assert q._float_nodes.tolist() == p._float_nodes.tolist()
     assert not p.node_values().flags.writeable and p.node_values() is t
 
 

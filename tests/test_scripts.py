@@ -1,4 +1,4 @@
-"""The scripts under scripts/: exit codes of their ``main``."""
+"""The scripts under scripts/: exit codes of their ``main`` and their output."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +28,12 @@ def test_shift_sensitivity_rejects_bad_input_with_exit_2(argv, capsys):
         load_script("shift_sensitivity").main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_shift_sensitivity_tables_repeat_in_one_process(capsys):
+    # the second run reads the measurement samples the first one cached
+    script = load_script("shift_sensitivity")
+    script.print_tables("sin15", 100)
+    first = capsys.readouterr().out
+    script.print_tables("sin15", 100)
+    assert capsys.readouterr().out == first
