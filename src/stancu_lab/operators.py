@@ -27,9 +27,9 @@ along k, with no grid masks. A grid steps its non-empty halves as the
 rows of one stream (``_stream``) over preallocated arrays updated in
 place, the same roundings in the same order; accumulating it along k was
 5-10x slower. Both read a cached ratio table per degree and the node
-table each StancuParams keeps, and sample a FunctionSpec unchecked (the
-nodes lie in [0, 1]) from the float copy of that table it keeps for
-exact shifts, at a lone endpoint at its one node only.
+values each StancuParams keeps: a FunctionSpec is sampled unchecked (the
+nodes lie in [0, 1]) at the float copy of its node table, and the
+operator keeps those samples for the last spec, by identity, applied to it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -166,8 +165,21 @@ class StancuParams:
         nodes.setflags(write=False)
         return nodes
 
+    def _sampled(self, f) -> np.ndarray:
+        """f at the nodes as floats; kept read-only for the last FunctionSpec (by ``is``)."""
+        if not isinstance(f, FunctionSpec):  # other callables may be impure: never kept
+            return np.asarray(f(self.node_values()), dtype=float)
+        memo = vars(self).get("_memo")
+        if memo is None or memo[0] is not f:  # not ==: that equates 0.0 and -0.0 samples
+            # No range check: t_0 = alpha/(n + beta) >= 0, and rounding is
+            # monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
+            fn = f._sample(self._float_nodes)  # a new float array
+            fn.setflags(write=False)
+            vars(self)["_memo"] = memo = (f, fn)
+        return memo[1]
+
     def __getstate__(self):  # copies and pickles build their own read-only tables
-        return {k: v for k, v in vars(self).items() if k not in ("_nodes", "_float_nodes")}
+        return {k: v for k, v in vars(self).items() if k not in ("_nodes", "_float_nodes", "_memo")}
 
     def displacement_bound(self) -> float:
         """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
@@ -306,30 +318,24 @@ def evaluate(f, p, xs) -> np.ndarray:
     ``evaluate(f, p[j], xs)``. For one operator, ``f`` maps the node array
     t (``node_values()``, exact for exact shifts; a FunctionSpec gets its
     float copy) to values; an (n+1, C) value array gives results of shape
-    (len(xs), C). x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
-    recurrence would hit 0**0 there); a lone endpoint samples a
-    FunctionSpec at that node only, other callables at every node. Points
-    x > 1/2 are reflected to 1 - x with the node values reversed.
+    (len(xs), C). A FunctionSpec is sampled once per operator, which keeps
+    the samples of the last spec it was given; other callables are called
+    every time. x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
+    recurrence would hit 0**0 there). Points x > 1/2 are reflected to
+    1 - x with the node values reversed.
     """
     if not isinstance(xs, float):  # np.float64 is a float too
         xs = np.asarray(xs, dtype=float).reshape(-1)
         xs = float(xs[0]) if xs.size == 1 else _as_unit_interval(xs)
     if isinstance(xs, float) and not 0.0 <= xs <= 1.0:  # NaN fails both tests, +-inf one
         raise ValueError("x must lie in [0, 1]")
-    # No range re-check at the nodes: t_0 = alpha/(n + beta) >= 0, and rounding
-    # is monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
-    spec = isinstance(f, FunctionSpec)  # sampled at the float nodes, element by element
-    sample, nodes = (f._sample, attrgetter("_float_nodes")) if spec else (f, StancuParams.node_values)
-    take = slice(None)  # so a lone endpoint reads one node of a FunctionSpec
-    if spec and isinstance(xs, float) and xs in (0.0, 1.0):
-        take = slice(0, 1) if xs == 0.0 else slice(-1, None)
     if isinstance(p, StancuParams):
-        fn = np.asarray(sample(nodes(p)[take]), dtype=float)
+        fn = p._sampled(f)
     else:
         ps = tuple(p)
         if not ps or any(q.n != ps[0].n for q in ps):
             raise ValueError("operators evaluated together must share one degree")
-        fn = np.stack([np.asarray(sample(nodes(q)[take]), dtype=float) for q in ps], axis=1)
+        fn = np.stack([q._sampled(f) for q in ps], axis=1)
     if isinstance(xs, float):  # one point: no masks, gathers or scatters
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()

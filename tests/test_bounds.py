@@ -151,7 +151,7 @@ def test_modulus_subadditive_up_to_grid_slack():
             assert modulus_of_continuity(f, 2 * delta) <= 2 * modulus_of_continuity(f, delta) + slack
 
 
-@pytest.mark.parametrize("delta", [1e305, sys.float_info.max])
+@pytest.mark.parametrize("delta", [1e305, sys.float_info.max, math.inf])
 def test_modulus_of_huge_delta_is_the_global_oscillation(delta):
     # delta * (m - 1) overflows to inf for these: the window is clamped first
     for f in (E1, SIN15, WALK):
@@ -165,6 +165,9 @@ def test_modulus_rejects_nonpositive_delta():
         modulus_of_continuity(SIN15, 0.0)
     with pytest.raises(ValueError):
         modulus_of_continuity(SIN15, -0.1)
+    for delta in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            modulus_of_continuity(SIN15, delta)
 
 
 # ------------------------------------------------------ sup-error scans

@@ -388,6 +388,7 @@ def test_node_values_are_finite_and_lie_in_the_unit_interval(n, shifts):
 
 
 TABULATED = FunctionSpec.tabulated("walk", np.linspace(0.0, 1.0, 9), np.cos(np.arange(9.0)))
+SIN15 = FunctionSpec.builtin("sin15")
 
 
 @pytest.mark.parametrize("f", [FunctionSpec.builtin(name) for name in BUILTIN_FUNCTIONS]
@@ -436,24 +437,27 @@ def test_exact_shifts_keep_exact_nodes_for_other_callables(monkeypatch):
         return np.asarray(t, dtype=float)
 
     evaluate(f, p, 0.3)
-    assert seen[0].base is p.node_values() and seen[0].dtype == object
-    # a FunctionSpec is sampled from the float table, converted once per operator
+    assert seen[0] is p.node_values() and seen[0].dtype == object
+    # a FunctionSpec is sampled from the float table, converted once per
+    # operator, and its samples are kept: 3 calls sample it once
     spec, sample = FunctionSpec.builtin("e1"), FunctionSpec._sample
     seen.clear()
     monkeypatch.setattr(FunctionSpec, "_sample", lambda self, t: seen.append(t) or sample(self, t))
     for _ in range(3):
         evaluate(spec, p, 0.3)
-    assert len(seen) == 3 and all(t.base is p._float_nodes for t in seen)
+    assert len(seen) == 1 and seen[0] is p._float_nodes
 
 
 def test_node_table_leaves_equality_hash_and_repr_alone():
     fresh, used = StancuParams(50, 20.0, 30.0), StancuParams(50, 20.0, 30.0)
     before = (repr(used), hash(used))
-    evaluate(FunctionSpec.builtin("sin15"), used, 0.3)
+    evaluate(SIN15, used, 0.3)
+    assert used._sampled(SIN15) is used._sampled(SIN15)  # the sample memo is in use
     assert used == fresh and (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
     assert [fld.name for fld in dataclasses.fields(used)] == ["n", "alpha", "beta"]
     copy = dataclasses.replace(used)
     assert copy == used and copy.node_values() is not used.node_values()
+    assert "_memo" not in vars(copy)
     moved = dataclasses.replace(used, alpha=25.0)
     assert moved.node_values()[0] == 25.0 / 80.0 != used.node_values()[0]
     # the tabulated knots are not compared either
@@ -477,6 +481,14 @@ def test_copies_build_their_own_read_only_table(shifts, clone):
     assert q._float_nodes.flags.writeable is False
     assert q._float_nodes.tolist() == p._float_nodes.tolist()
     assert not p.node_values().flags.writeable and p.node_values() is t
+    # a used sample memo is not copied either: the copy samples afresh
+    fn = p._sampled(SIN15)
+    q = clone(p)
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    assert "_memo" not in vars(q)
+    assert q._sampled(SIN15) is not fn and q._sampled(SIN15).flags.writeable is False
+    assert q._sampled(SIN15).tobytes() == fn.tobytes()
+    assert p._sampled(SIN15) is fn
 
 
 ENDPOINT_PARAMS = ((StancuParams(50, 20.0, 30.0), StancuParams(50), StancuParams(50, 4.7, 10.0)),
@@ -488,8 +500,8 @@ ENDPOINT_PARAMS = ((StancuParams(50, 20.0, 30.0), StancuParams(50), StancuParams
                          + [TABULATED], ids=lambda f: f.name)
 @pytest.mark.parametrize("ps", ENDPOINT_PARAMS, ids=lambda ps: f"n{ps[0].n}")
 def test_endpoints_sample_one_node_bit_for_bit(f, ps):
-    # a lone endpoint samples a FunctionSpec at node 0 or node n only; the
-    # value must be that of the grid path and of sampling every node
+    # a lone endpoint reads node 0 or node n of the operator's kept samples;
+    # the value must be that of the grid path and of sampling every node
     for x, end in ((0.0, 0), (-0.0, 0), (1.0, -1)):
         grid = evaluate(f, ps, np.array([x, 0.5]))[0].view(np.int64)
         full = np.array([f(q.node_values())[end] for q in ps]).view(np.int64)
@@ -498,6 +510,78 @@ def test_endpoints_sample_one_node_bit_for_bit(f, ps):
         for q, bits in zip(ps, full):
             assert np.float64(apply_operator(f, q, x)).view(np.int64) == bits
             assert (evaluate(f, q, x).view(np.int64) == bits).all()
+
+
+def test_repeated_calls_sample_a_spec_once_per_operator(monkeypatch):
+    calls = []
+    sample = FunctionSpec._sample
+    monkeypatch.setattr(FunctionSpec, "_sample",
+                        lambda self, t: calls.append(self.name) or sample(self, t))
+    p, q = StancuParams(50, 20.0, 30.0), StancuParams(50)
+    for x in (0.3, 0.0, 1.0, 0.77, 0.3):
+        apply_operator(SIN15, p, x)
+    evaluate(SIN15, p, uniform_grid(11))
+    evaluate(SIN15, (p, q), 0.4)
+    assert calls == ["sin15", "sin15"]  # once for p, once for q
+    # alternating two specs resamples each time: one table per operator
+    calls.clear()
+    for _ in range(3):
+        apply_operator(TABULATED, p, 0.3)
+        apply_operator(SIN15, p, 0.3)
+    assert calls == ["walk", "sin15"] * 3
+    # an equal spec that is another object is sampled again
+    calls.clear()
+    apply_operator(FunctionSpec.builtin("sin15"), p, 0.3)
+    assert calls == ["sin15"]
+
+
+def test_kept_samples_are_read_only():
+    p = StancuParams(7, Fraction(1, 3), Fraction(7, 2))
+    fn = p._sampled(TABULATED)
+    assert fn.dtype == float and fn.shape == (8,)
+    with pytest.raises(ValueError, match="read-only"):
+        fn[0] = 0.5
+    assert p._sampled(TABULATED) is fn
+    # the results handed back are new arrays, free to write
+    for xs in (0.0, 1.0, 0.3, uniform_grid(5)):
+        out = evaluate(TABULATED, p, xs)
+        assert out.flags.writeable and not np.shares_memory(out, fn)
+        out[...] = 7.0
+    assert (fn == TABULATED(p._float_nodes)).all()
+
+
+def test_kept_samples_are_keyed_by_identity_not_equality():
+    # == equates a table of -0.0 samples with one of +0.0 samples, but the
+    # operator's value at x = 0 keeps its sign
+    pos = FunctionSpec.tabulated("z", [0.0, 1.0], [0.0, 0.0])
+    neg = FunctionSpec.tabulated("z", [0.0, 1.0], [-0.0, -0.0])
+    assert pos == neg
+    p = StancuParams(4)
+    for _ in range(2):
+        for f, sign in ((neg, -1.0), (pos, 1.0)):
+            value = apply_operator(f, p, 0.0)
+            assert value == 0.0 and math.copysign(1.0, value) == sign
+            fresh = apply_operator(f, StancuParams(4), 0.0)
+            assert math.copysign(1.0, fresh) == sign
+
+
+@pytest.mark.parametrize("f", [FunctionSpec.builtin(name) for name in BUILTIN_FUNCTIONS]
+                         + [TABULATED], ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [1, 7, 50, 1000])
+@pytest.mark.parametrize("shifts", [(20.0, 30.0), (Fraction(1, 3), Fraction(7, 2))], ids=str)
+def test_warm_values_equal_cold_values_bit_for_bit(f, n, shifts):
+    points = [0.0, -0.0, 1.0, *uniform_grid(7)[1:-1]]
+    warm = StancuParams(n, *shifts)
+    evaluate(f, warm, 0.3)
+    grid = np.array(points)
+    for x in points:
+        cold = evaluate(f, StancuParams(n, *shifts), x).view(np.int64)
+        assert (evaluate(f, warm, x).view(np.int64) == cold).all()
+    cold = evaluate(f, StancuParams(n, *shifts), grid).view(np.int64)
+    assert (evaluate(f, warm, grid).view(np.int64) == cold).all()
+    pair = (warm, StancuParams(n))
+    cold = evaluate(f, (StancuParams(n, *shifts), StancuParams(n)), grid).view(np.int64)
+    assert (evaluate(f, pair, grid).view(np.int64) == cold).all()
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0, 1.0])
