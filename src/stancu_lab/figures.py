@@ -9,7 +9,8 @@ with the pair columns (``alpha,beta,k,...``), one row block per pair.
 
 The SVG for a figure is drawn from the same float values the CSV holds,
 never from a second computation. Columns are built once as Python floats
-and each CSV cell is their ``repr``, the shortest decimal that reads back
+and each CSV cell, written by a shortest round-trip float writer (Ryu),
+equals their ``repr`` byte for byte: the shortest decimal that reads back
 to the same float, so the CSV and the SVG cannot disagree.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import orjson
 
 from . import svg
 from .nodes import node_table
@@ -62,13 +64,24 @@ def fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _repr_cells(row: str) -> str:
+    return ",".join(repr(float(c)) if "e" in c or "0.0000" in c else c for c in row.split(","))
+
+
 def csv_rows(cols) -> list[str]:
     """CSV rows of equal-length columns of Python floats (or ints).
 
-    Each cell is ``repr`` of its value, which is what ``fmt`` gives for a
-    float; build the columns with ``ndarray.tolist()``.
+    Each cell equals ``repr`` of its value (``fmt`` for a float); build the
+    columns with ``ndarray.tolist()``. One ``orjson.dumps`` writes the table in
+    Ryu's shortest round-trip digits; a cell laid out unlike ``repr`` (``1e-7``,
+    ``1e16``, ``0.00001``) reads back to its float, so ``repr(float(c))`` is exact.
     """
-    return list(map(",".join, zip(*[map(repr, c) for c in cols])))
+    rows = list(zip(*cols))
+    text = orjson.dumps(rows).decode()
+    if "null" in text:  # orjson writes NaN and +-inf as null
+        return [",".join(map(repr, row)) for row in rows]
+    lines = text[2:-2].split("],[") if rows else []
+    return [_repr_cells(r) if "e" in r or "0.0000" in r else r for r in lines]
 
 
 def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None) -> FigureJob:

@@ -34,6 +34,7 @@ from stancu_lab import (
     RatioFamily,
     StancuParams,
     corollary2_bound,
+    evaluate,
     grid_slack,
     modulus_of_continuity,
     operator_distance,
@@ -206,6 +207,24 @@ def test_sup_error_and_distance_equal_their_own_functions():
     for f in (E2, SIN15, ABSHALF, WALK):
         for p in (StancuParams(7), StancuParams(100, 20.0, 30.0), StancuParams(1000, 4.7, 10.0)):
             assert sup_error_and_distance(f, p) == (sup_error(f, p), operator_distance(f, p))
+
+
+def test_repeated_scans_sample_the_plain_operator_once(monkeypatch):
+    # one plain operator per degree keeps its node samples across calls
+    seen = []
+    sample = FunctionSpec._sample
+    monkeypatch.setattr(FunctionSpec, "_sample",
+                        lambda self, t: seen.append(t.tolist()) or sample(self, t))
+    f = FunctionSpec.builtin("sin15")  # a new spec: no operator holds its samples yet
+    p = StancuParams(37, 2.0, 5.0)
+    first = sup_error_and_distance(f, p)
+    for _ in range(3):
+        assert sup_error_and_distance(f, p) == first
+    plain = StancuParams(37)
+    assert seen.count(plain.node_values().tolist()) == 1
+    assert seen.count(p.node_values().tolist()) == 1
+    shifted, fresh = evaluate(f, (p, plain), uniform_grid(DEFAULT_CONFIG.sup_grid_size)).T
+    assert first[1] == float(np.abs(shifted - fresh).max())
 
 
 def test_operator_distance_bounded_by_node_shift_modulus():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from stancu_lab import FunctionSpec, StancuParams, apply_operator_curve, evaluate, svg
 from stancu_lab.cli import main
-from stancu_lab.figures import FIGURES, with_overrides
+from stancu_lab.figures import FIGURES, csv_rows, with_overrides
 
 
 def run_figure(capsys, tmp_path, case):
@@ -117,6 +117,39 @@ def test_eval_grid_cells(capsys, grid):
     xs = np.linspace(0.0, 1.0, grid)
     cols = [xs, f(xs), evaluate(f, StancuParams(250), xs), evaluate(f, p, xs)]
     assert_cells(data_rows(out), cols)
+
+
+def repr_rows(cols):
+    """The reference CSV rows: every cell is ``repr`` of its value."""
+    return [",".join(map(repr, row)) for row in zip(*cols)]
+
+
+# cells the shortest round-trip writer lays out unlike repr (subnormals,
+# exponents, positional values below 1e-4) next to cells it lays out alike
+EDGE_FLOATS = [5e-324, 1e-4, 9.9e-05, 1e16, 2.0**53 + 2, 1.7976931348623157e308,
+               -0.0, 9.547918011776346e-15]
+
+
+@st.composite
+def tables(draw):
+    """An int column next to 1-4 columns of any floats, NaN and +-inf included."""
+    size = draw(st.integers(0, 30))
+    ints = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size))
+    floats = st.lists(st.floats(), min_size=size, max_size=size)
+    return [ints, *draw(st.lists(floats, min_size=1, max_size=4))]
+
+
+@given(tables())
+@example([range(8), EDGE_FLOATS, [-v for v in EDGE_FLOATS]])
+@example([range(2), [math.nan, 0.5], [1e-07, -math.inf]])
+@settings(max_examples=300, deadline=None)
+def test_csv_rows_equal_repr(cols):
+    assert csv_rows(cols) == repr_rows(cols)
+
+
+def test_csv_rows_of_empty_and_one_column_tables():
+    for cols in ([], [[]], [[], range(0)], [EDGE_FLOATS], [range(3)]):
+        assert csv_rows(cols) == repr_rows(cols)
 
 
 @st.composite
