@@ -82,7 +82,7 @@ def _parse_list(raw: str, cast) -> list:
 def _eval_lines(f, ps, blocks):
     yield "x,f,bernstein,stancu"
     for xs in blocks:
-        yield from csv_rows(curve_table(f, ps, xs))
+        yield from csv_rows([c.tolist() for c in curve_table(f, ps, xs)])
 
 
 def cmd_eval(args) -> int:

@@ -8,10 +8,11 @@ use the ``nodes`` subcommand schema, the multi-pair figure f9 prefixes it
 with the pair columns (``alpha,beta,k,...``), one row block per pair.
 
 The SVG for a figure is drawn from the same float values the CSV holds,
-never from a second computation. Columns are built once as Python floats
-and each CSV cell, written by a shortest round-trip float writer (Ryu),
-equals their ``repr`` byte for byte: the shortest decimal that reads back
-to the same float, so the CSV and the SVG cannot disagree.
+never from a second computation. Columns are built once as float arrays;
+the SVG reads the arrays, and the CSV their ``tolist()`` floats. Each CSV
+cell, written by a shortest round-trip float writer (Ryu), equals their
+``repr`` byte for byte: the shortest decimal that reads back to the same
+float, so the CSV and the SVG cannot disagree.
 """
 
 from __future__ import annotations
@@ -101,27 +102,26 @@ def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None
     return job
 
 
-def curve_table(f: FunctionSpec, ps, xs: np.ndarray) -> list[list[float]]:
-    """Columns x, f(x) and one per operator in ``ps``, as Python floats."""
-    return [c.tolist() for c in (xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T)]
+def curve_table(f: FunctionSpec, ps, xs: np.ndarray) -> list[np.ndarray]:
+    """Columns x, f(x) and one per operator in ``ps``, as float arrays."""
+    return [xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T]
 
 
-def _node_columns(p: StancuParams) -> list:
-    """Columns k, bernstein_node, stancu_node, gap and, when beta > 0, the
+def _node_table(p: StancuParams) -> tuple[np.ndarray, ...]:
+    """Columns bernstein_node, stancu_node, gap and, when beta > 0, the
     distances of both families to m = alpha/beta."""
-    m = p.alpha / p.beta if p.beta > 0.0 else None
-    return [range(p.n + 1), *(c.tolist() for c in node_table(p, m))]
+    return node_table(p, p.alpha / p.beta if p.beta > 0.0 else None)
 
 
-def _node_csv_rows(cols: list) -> list[str]:
-    rows = csv_rows(cols)
+def _node_csv_rows(table: tuple) -> list[str]:
+    rows = csv_rows([range(len(table[0])), *(c.tolist() for c in table)])
     # beta = 0: the ratio alpha/beta is undefined, the distance cells stay empty
-    return rows if len(cols) > 4 else [row + ",," for row in rows]
+    return rows if len(table) > 3 else [row + ",," for row in rows]
 
 
 def node_rows(p: StancuParams) -> list[str]:
     """CSV rows of the nodes schema: k,bernstein_node,stancu_node,gap,dists to m."""
-    return _node_csv_rows(_node_columns(p))
+    return _node_csv_rows(_node_table(p))
 
 
 NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
@@ -132,19 +132,20 @@ def _nodes_csv(job: FigureJob, blocks: list) -> str:
         lines = [NODE_HEADER] + _node_csv_rows(blocks[0])
     else:
         lines = ["alpha,beta," + NODE_HEADER]
-        for (a, b), cols in zip(job.pairs, blocks):
+        for (a, b), table in zip(job.pairs, blocks):
             prefix = f"{fmt(a)},{fmt(b)},"
-            lines += [prefix + row for row in _node_csv_rows(cols)]
+            lines += [prefix + row for row in _node_csv_rows(table)]
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(job: FigureJob, cols: list[list[float]]) -> str:
+def _curve_csv(job: FigureJob, cols: list[np.ndarray]) -> str:
     """Header x,f,bernstein,stancu[,stancu2,stancu3] and the rows of ``cols``."""
     more = "".join(f",stancu{i}" for i in range(2, len(job.pairs) + 1))
-    return "\n".join([f"x,f,bernstein,stancu{more}"] + csv_rows(cols)) + "\n"
+    rows = csv_rows([c.tolist() for c in cols])
+    return "\n".join([f"x,f,bernstein,stancu{more}"] + rows) + "\n"
 
 
-def _curve_svg(job: FigureJob, cols: list[list[float]]) -> str:
+def _curve_svg(job: FigureJob, cols: list[np.ndarray]) -> str:
     labels = ["f", "bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     series = cols[1:]
     title = f"{job.figure_id}: {job.function}, n={job.n}"
@@ -153,7 +154,7 @@ def _curve_svg(job: FigureJob, cols: list[list[float]]) -> str:
 
 def _nodes_svg(job: FigureJob, blocks: list) -> str:
     # the plain family is the same in every block; it is drawn once
-    families = [blocks[0][1]] + [cols[2] for cols in blocks]
+    families = [blocks[0][0]] + [table[1] for table in blocks]
     labels = ["bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     title = f"{job.figure_id}: nodes, n={job.n}"
     # every pair of a multi-pair figure shares the ratio m = a/b
@@ -168,5 +169,5 @@ def build_figure(job: FigureJob) -> tuple[str, str]:
         ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
         cols = curve_table(FunctionSpec.builtin(job.function), ps, uniform_grid(job.grid_size))
         return _curve_csv(job, cols), _curve_svg(job, cols)
-    blocks = [_node_columns(StancuParams(job.n, a, b)) for a, b in job.pairs]
+    blocks = [_node_table(StancuParams(job.n, a, b)) for a, b in job.pairs]
     return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

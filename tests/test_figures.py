@@ -192,3 +192,52 @@ def test_node_chart_markers_match_the_scalar_formula(families, guide):
     rows = [svg._num(svg._BOTTOM - (i + 1) / (k + 1) * (svg._BOTTOM - svg._TOP)) for i in range(k)]
     expected = [(svg._num(svg._fx(x)), cy) for fam, cy in zip(families, rows) for x in fam]
     assert re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text) == expected
+
+
+# v = (k + 1/2)/100 lies next to a tie of '%.2f'; fl(100 v) can land on the
+# half-integer itself, where rint alone rounds half to even
+half_hundredths = st.integers(0, 999_998).map(lambda k: (k + 0.5) / 100)
+coordinates = st.one_of(
+    half_hundredths,
+    half_hundredths.map(lambda v: float(np.nextafter(v, 0.0))),
+    half_hundredths.map(lambda v: float(np.nextafter(v, math.inf))),
+    st.floats(0.0, 9999.995, exclude_max=True),
+    st.sampled_from([0.0, 9999.99, float(np.nextafter(9999.995, 0.0)), 56.125, 0.005]),
+)
+
+
+@given(st.lists(st.tuples(coordinates, st.sampled_from(", \n\t")), max_size=60))
+@settings(max_examples=500, deadline=None)
+def test_coords_equal_the_scalar_format(cells):
+    values = np.array([v for v, _ in cells], dtype=float)
+    seps = "".join(s for _, s in cells)
+    expected = "".join(f"{v:.2f}{s}" for v, s in cells)[:-1]
+    assert svg._coords(values, seps) == expected
+
+
+# '%.2f' writes -0.0 as '-0.00'; 9999.995 is the first float written 10000.00
+@pytest.mark.parametrize("bad", [-0.0, -5e-324, -1.0, 9999.995, 1e4, 1e300,
+                                 math.inf, -math.inf, math.nan])
+def test_coords_reject_values_outside_their_domain(bad):
+    with pytest.raises(ValueError, match="SVG coordinates"):
+        svg._coords(np.array([1.0, bad]), "  ")
+
+
+@pytest.mark.parametrize("x", [-5e-324, -0.5, 1.0000000000000002, 2.0, math.nan, math.inf])
+def test_charts_reject_positions_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        svg.line_chart([0.0, x], [[0.0, 1.0]], ["s"], ["red"], "t")
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        svg.node_chart([[0.5], [0.5, x]], ["s", "s"], ["blue", "red"], "t")
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        svg.node_chart([[0.5]], ["s"], ["blue"], "t", guide_x=x)
+
+
+def test_near_tie_patch_runs_on_the_f10_grid_2001_positions():
+    px = svg._fx(np.linspace(0.0, 1.0, 2001))
+    t = px * 100.0
+    near = np.abs(t - np.rint(t)) >= 0.5 - svg._TIE_BAND
+    # the x of every 10th point sits next to a tie, and rint(fl(100 v)) misses some
+    assert near.sum() == 200
+    assert any(f"{v:.2f}" != f"{k / 100:.2f}" for v, k in zip(px[near], np.rint(t[near])))
+    assert svg._coords(px, " " * px.size) == " ".join(f"{v:.2f}" for v in px.tolist())
