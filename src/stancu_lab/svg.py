@@ -31,7 +31,7 @@ import numpy as np
 WIDTH = 960
 HEIGHT = 360
 _LEFT, _RIGHT, _TOP, _BOTTOM = 56.0, 930.0, 42.0, 318.0
-# t = 100 v lies within 2**-33 of 100 v; a wider band is still cheap
+# fl(100 v) lies within 2**-33 of 100 v; the band is far wider, and still rarely hit
 _TIE_BAND = 2.0**-20
 
 
