@@ -67,8 +67,12 @@ class BoundConfig:
 
 
 DEFAULT_CONFIG = BoundConfig()
-# one plain operator per degree, so it keeps its node samples across calls
-_plain = lru_cache(maxsize=16)(StancuParams)
+
+
+@lru_cache(maxsize=16)
+def _plain(n: int, f: FunctionSpec) -> StancuParams:
+    """The plain operator of degree n kept for f, so it keeps f's node samples across calls."""
+    return StancuParams(n)
 
 
 @lru_cache(maxsize=16)
@@ -140,7 +144,7 @@ def _scan(f, p, error: bool) -> tuple[float | None, float]:
     """(sup-error of p, or None unless ``error``, and p's distance from the
     plain operator) over the sup grid; f is sampled there only for the error."""
     grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
-    shifted, plain = evaluate(f, (p, _plain(p.n)), grid).T
+    shifted, plain = evaluate(f, (p, _plain(p.n, f)), grid).T
     sup = _max_error(f, shifted) if error else None
     return sup, float(np.abs(shifted - plain).max())
 

@@ -24,9 +24,12 @@ steps, which a zero running sum always does. A lone point is checked by
 two float comparisons and sent to its endpoint value or to ``_point``,
 which runs the same operations in the same order as two ufunc accumulates
 along k, with no grid masks. A grid steps its non-empty halves as the
-rows of one stream (``_stream``) over preallocated arrays updated in
-place, the same roundings in the same order; accumulating it along k was
-5-10x slower. Both read a cached ratio table per degree and the node
+rows of one stream (``_stream``): the basis is updated in place one step
+at a time, and the terms of a block of up to 16 steps come from one
+multiply and are added to the sum one at a time in ascending k, the same
+roundings in the same order. Only the products are blocked: accumulating
+the sums along k (a ufunc accumulate runs column by column) was 5-10x
+slower. Both read a cached ratio table per degree and the node
 values each StancuParams keeps: a FunctionSpec is sampled unchecked (the
 nodes lie in [0, 1]) at the float copy of its node table, and the
 operator keeps those samples for the last spec, by identity, applied to it.
@@ -219,6 +222,8 @@ class SampledCurve:
 _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
 _TOO_LARGE = "degree n={} too large for float64 basis recurrence"
 _CHECK_EVERY = 4
+_BLOCK = 16  # steps whose terms ``_stream`` forms in one multiply...
+_BLOCK_BYTES = 2**19  # ...if their basis and term rows fit in this many bytes
 
 
 @lru_cache(maxsize=16)
@@ -256,11 +261,20 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     returns (R[, C], W). Forward ratio recurrence
     b_k = (b_{k-1} u/(1 - u)) (n - k + 1)/k from the seed (1 - u)**n,
     accumulated in ascending k; the basis is updated once per step for all
-    columns. The steps run in Python, in place and vectorised across rows
-    and points, and stop once no remaining term can change the sum at any
-    point or column, so the result is bit-identical to the full n steps.
-    ``evaluate`` sends a lone point to ``_point``. Degrees large enough to
-    underflow the seed are rejected rather than silently returning zeros.
+    columns. The steps run in Python, vectorised across rows and points,
+    and stop once no remaining term can change the sum at any point or
+    column, so the result is bit-identical to the full n steps.
+
+    Each step writes b_k, in place, into one row of a block buffer. Once
+    per block of K steps, one multiply forms the K terms f(t_k) b_k, and
+    they are added to the sum one ufunc call at a time in ascending k: the
+    same products and sums in the same order as stepping one term at a
+    time, so K changes speed, never results. K is ``_BLOCK`` when that many
+    steps of buffers fit in ``_BLOCK_BYTES``, else 1 (b's own array is then
+    the one row): on wider streams the steps are memory-bound and blocks
+    were slower. ``evaluate`` sends a lone point to ``_point``. Degrees
+    large enough to underflow the seed are rejected rather than silently
+    returning zeros.
     """
     n = fn.shape[0] - 1
     u = u[:, None] if fn.ndim == 3 else u
@@ -271,18 +285,37 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     r = u / w
     vals = fn[..., None]  # (n+1[, R][, C], 1): each step's values, broadcast over u
     acc = 0.0 + vals[0] * b
-    tmp = np.empty_like(acc)
+    # a block of size steps: basis rows bs, terms ts, one row view each; a
+    # one-step block's basis row is b itself (wide streams, memory-bound)
+    size = min(_BLOCK if _BLOCK * (b.nbytes + acc.nbytes) <= _BLOCK_BYTES else 1, n)
+    ts = np.empty((size,) + acc.shape)
+    bs = b[None] if size == 1 else np.empty((size,) + b.shape)
+    rows, terms = list(bs), list(ts)
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
     fmax = float(np.abs(fn).max())  # read only by the exact stop below
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
-    for k, (v, c) in enumerate(zip(vals[1:], _ratios(n).tolist()), 1):
+    check = first
+    j = 0  # steps in the open block
+    for k, c in enumerate(_ratios(n).tolist(), 1):
         # in place: the third argument is the output (faster than out=)
-        np.multiply(b, r, b)
-        np.multiply(b, c, b)
-        np.multiply(v, b, tmp)
-        np.add(acc, tmp, acc)
+        row = rows[j]
+        np.multiply(b, r, row)
+        np.multiply(row, c, row)
+        b = row
+        j += 1
+        if j < size and k < n and k != first:  # a block also ends at first
+            continue
+        if j == size:
+            np.multiply(vals[k + 1 - j : k + 1], bs, ts)
+            for t in terms:
+                np.add(acc, t, acc)
+        else:  # the short blocks ending at first and at n
+            np.multiply(vals[k + 1 - j : k + 1], bs[:j], ts[:j])
+            for t in terms[:j]:
+                np.add(acc, t, acc)
+        j = 0
         # Exact stop. This step used ratio c, and every later step
         # multiplies by r * c_j <= rm * c < 3/4 (the ratios fall with k).
         # Each step rounds twice (unit roundoff 2**-53, subnormal spacing
@@ -295,17 +328,19 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
         # rounds back to acc (round to nearest); where 2**(e-55) is below
         # the least subnormal, the terms are 0. acc = 0 never passes, and
         # an overflowing bound only never stops. Where the check sits
-        # changes speed, never results: first near
+        # changes speed, never results: at the end of a block, first near
         # n u + 8.7 sqrt(n u (1 - u)), u = max(u), where the binomial
-        # tail has fallen below 2**-55 ~ e**-38 of its peak, then every
-        # few steps; never on streams where that estimate is >= n.
+        # tail has fallen below 2**-55 ~ e**-38 of its peak, then at block
+        # ends at least _CHECK_EVERY steps apart; never on streams where
+        # that estimate is >= n.
         if (
-            first <= k < n
-            and (k - first) % _CHECK_EVERY == 0
+            check <= k < n
             and rm * c < 0.75
             and (bound * np.maximum(b, _TINY) < np.abs(acc)).all()
         ):
             break
+        if check <= k:
+            check = k + _CHECK_EVERY
     return acc
 
 

@@ -227,6 +227,21 @@ def test_repeated_scans_sample_the_plain_operator_once(monkeypatch):
     assert first[1] == float(np.abs(shifted - fresh).max())
 
 
+def test_alternating_functions_sample_the_plain_operator_once_each(monkeypatch):
+    # the plain operator is kept per (degree, function), so a scan that
+    # alternates functions at one degree does not resample it
+    seen = []
+    sample = FunctionSpec._sample
+    monkeypatch.setattr(FunctionSpec, "_sample",
+                        lambda self, t: seen.append(t.tolist()) or sample(self, t))
+    fs = (FunctionSpec.builtin("sin15"), FunctionSpec.builtin("abshalf"))
+    p = StancuParams(41, 2.0, 5.0)
+    first = [sup_error_and_distance(f, p) for f in fs]
+    for _ in range(3):
+        assert [sup_error_and_distance(f, p) for f in fs] == first
+    assert seen.count(StancuParams(41).node_values().tolist()) == len(fs)
+
+
 def test_operator_distance_bounded_by_node_shift_modulus():
     for f in (E1, E2, SIN15, ABSHALF):
         slack = grid_slack(f)

@@ -23,6 +23,7 @@ from stancu_lab import (
     moment_closed_form,
     uniform_grid,
 )
+from stancu_lab.operators import _BLOCK, _BLOCK_BYTES
 
 
 def basis_row(n, x):
@@ -297,7 +298,8 @@ EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
                0.0, 1.0, -0.0, np.array([0.77]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 50, 100, 999, 1000, 1022])
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 50, 100, 999, 1000, 1022])
 def test_early_exit_is_bit_identical_to_full_recurrence(n):
     # the recurrence stops once no later term can change the sum; every
     # value, batched over BATCH_PAIRS and single for (20, 30), must still
@@ -310,6 +312,19 @@ def test_early_exit_is_bit_identical_to_full_recurrence(n):
             cols = want[:, i * len(ps):(i + 1) * len(ps)]
             assert (evaluate(f, ps, xs).view(np.int64) == cols).all()
             assert (evaluate(f, ps[1], xs).view(np.int64) == cols[:, 1]).all()
+
+
+def test_wide_streams_are_bit_identical_to_full_recurrence():
+    # _BLOCK steps of basis and term rows for four operators exceed
+    # _BLOCK_BYTES here, so each block is one step; the sums must not change
+    n, size = 50, 20001
+    width = (size - 1) // 2  # points in (0, 1/2], the wider stream row
+    assert _BLOCK * 8 * 2 * width * (1 + len(BATCH_PAIRS)) > _BLOCK_BYTES
+    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
+    xs = uniform_grid(size)
+    for f in EXIT_TABLES[:2]:
+        want = full_recurrence(np.stack([f(q.node_values()) for q in ps], axis=1), xs)
+        assert (evaluate(f, ps, xs).view(np.int64) == want.view(np.int64)).all()
 
 
 def test_batched_evaluation_needs_one_shared_degree():
@@ -610,6 +625,26 @@ def test_curve_memory_does_not_grow_with_degree():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_block_buffers_stay_within_their_budget():
+    # four operators on a wide grid: a step's basis and term rows do not fit
+    # 16 times in _BLOCK_BYTES, so no block may hold more than one step
+    ps = tuple(StancuParams(1000, a, b) for a, b in BATCH_PAIRS)
+    f = FunctionSpec.builtin("sin15")
+    xs = uniform_grid(20001)
+    out = evaluate(f, ps, xs)  # the operators keep their samples
+    tracemalloc.start()
+    try:
+        evaluate(f, ps, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # block buffers: at most _BLOCK_BYTES, or one output-sized term row (b
+    # itself is the basis row); output-sized: the result, the running sum
+    # and |sum| in the stop test; per point, at most ten floats (u, 1 - u,
+    # b, r, each half's points, the stop test's temporaries) and the masks
+    assert peak < _BLOCK_BYTES + 4 * out.nbytes + 10 * xs.nbytes
 
 
 def test_curve_validation():
