@@ -25,14 +25,14 @@ two float comparisons and sent to its endpoint value or to ``_point``,
 which runs the same operations in the same order as two ufunc accumulates
 along k, with no grid masks. A grid steps its non-empty halves as the
 rows of one stream (``_stream``): the basis is updated in place one step
-at a time, and the terms of a block of up to 16 steps come from one
-multiply and are added to the sum one at a time in ascending k, the same
-roundings in the same order. Only the products are blocked: accumulating
-the sums along k (a ufunc accumulate runs column by column) was 5-10x
-slower. Both read a cached ratio table per degree and the node
-values each StancuParams keeps: a FunctionSpec is sampled unchecked (the
-nodes lie in [0, 1]) at the float copy of its node table, and the
-operator keeps those samples for the last spec, by identity, applied to it.
+at a time, and a block of up to 16 steps ends with two ufunc calls, one
+forming its terms and one adding them to the running sum in ascending k,
+the same roundings in the same order. A block holds at most 17 sum rows:
+a ufunc accumulate along all of k (column by column) was 5-10x slower.
+Both read a cached ratio table per degree and the node values each
+StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie in
+[0, 1]) at the float copy of its node table, and the operator keeps those
+samples for the last spec, by identity, applied to it.
 """
 
 from __future__ import annotations
@@ -222,16 +222,28 @@ class SampledCurve:
 _TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float
 _TOO_LARGE = "degree n={} too large for float64 basis recurrence"
 _CHECK_EVERY = 4
-_BLOCK = 16  # steps whose terms ``_stream`` forms in one multiply...
-_BLOCK_BYTES = 2**19  # ...if their basis and term rows fit in this many bytes
+_BLOCK = 16  # steps per block of ``_stream``...
+_BLOCK_BYTES = 2**20  # ...if their basis rows and one more sum rows fit in this many bytes
+
+
+def _block_steps(n: int, b: np.ndarray, acc: np.ndarray) -> int:
+    """Steps per block of ``_stream`` over basis row b and running sum acc.
+
+    ``_BLOCK`` (at most n) when that many rows of b and one more of acc fit in
+    ``_BLOCK_BYTES``, else 1; always 1 for a one-element sum, whose (K+1)-row
+    reduction would run along memory, where numpy sums pairwise.
+    """
+    fits = _BLOCK * b.nbytes + (_BLOCK + 1) * acc.nbytes <= _BLOCK_BYTES
+    return min(_BLOCK, n) if fits and acc.size > 1 else 1
 
 
 @lru_cache(maxsize=16)
-def _ratios(n: int) -> np.ndarray:
-    """The step ratios (n - k)/(k + 1), k = 0..n-1, read-only."""
+def _ratios(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
+    """The step ratios (n - k)/(k + 1), k = 0..n-1, read-only, and each as a
+    float and as a 0-d view (which np.multiply takes without converting it)."""
     ratios = np.arange(float(n), 0.0, -1.0) / np.arange(1.0, n + 1)
     ratios.setflags(write=False)
-    return ratios
+    return ratios, tuple(zip(ratios.tolist(), [ratios[k, ...] for k in range(n)]))
 
 
 def _point(fn: np.ndarray, u: float) -> np.ndarray:
@@ -247,7 +259,7 @@ def _point(fn: np.ndarray, u: float) -> np.ndarray:
     if b < _TINY:
         raise ValueError(_TOO_LARGE.format(n))
     fac = np.empty(2 * n + 1)
-    fac[0], fac[1::2], fac[2::2] = b, u / w, _ratios(n)
+    fac[0], fac[1::2], fac[2::2] = b, u / w, _ratios(n)[0]
     terms = (fn.T * np.multiply.accumulate(fac)[::2]).T
     terms[0] = 0.0 + terms[0]
     return np.add.accumulate(terms)[-1:]
@@ -265,15 +277,25 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     and stop once no remaining term can change the sum at any point or
     column, so the result is bit-identical to the full n steps.
 
-    Each step writes b_k, in place, into one row of a block buffer. Once
-    per block of K steps, one multiply forms the K terms f(t_k) b_k, and
-    they are added to the sum one ufunc call at a time in ascending k: the
-    same products and sums in the same order as stepping one term at a
-    time, so K changes speed, never results. K is ``_BLOCK`` when that many
-    steps of buffers fit in ``_BLOCK_BYTES``, else 1 (b's own array is then
-    the one row): on wider streams the steps are memory-bound and blocks
-    were slower. ``evaluate`` sends a lone point to ``_point``. Degrees
-    large enough to underflow the seed are rejected rather than silently
+    Each step writes b_k, in place, into one row of a block buffer. A
+    block of K steps ends with two ufunc calls: one ``np.einsum`` writes
+    the K terms f(t_k) b_k (a plain product each, without the broadcast
+    multiply's slower stride-0 loop) into rows 1..K of a sum buffer whose
+    row 0 holds a copy of the running sum, and one ``np.add.reduce`` over
+    its rows adds them in ascending k. These are the roundings of stepping
+    one term at a time, in its order, so K changes speed, never results,
+    on two conditions. numpy sums pairwise only along the fast memory axis
+    (numpy.sum, Notes), and adds rows in order; but rows of one element lie
+    along memory, so a one-element stream (one interior point, one
+    operator) takes one-step blocks. einsum writes +0.0 where a product is
+    -0.0, which cannot change a sum that is never -0.0 (0.0 + v b starts it
+    at +0.0 or nonzero, and x + y is -0.0 only when both are). K is
+    ``_BLOCK`` when that many basis rows and one more sum rows fit in
+    ``_BLOCK_BYTES`` (``_block_steps``), else 1: then, as for wider
+    streams, where the steps are memory-bound and blocks were slower, b's
+    own array is the one basis row, and one multiply and one add take each
+    term. ``evaluate`` sends a lone point to ``_point``. Degrees large
+    enough to underflow the seed are rejected rather than silently
     returning zeros.
     """
     n = fn.shape[0] - 1
@@ -285,12 +307,16 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     r = u / w
     vals = fn[..., None]  # (n+1[, R][, C], 1): each step's values, broadcast over u
     acc = 0.0 + vals[0] * b
-    # a block of size steps: basis rows bs, terms ts, one row view each; a
-    # one-step block's basis row is b itself (wide streams, memory-bound)
-    size = min(_BLOCK if _BLOCK * (b.nbytes + acc.nbytes) <= _BLOCK_BYTES else 1, n)
-    ts = np.empty((size,) + acc.shape)
-    bs = b[None] if size == 1 else np.empty((size,) + b.shape)
-    rows, terms = list(bs), list(ts)
+    size = _block_steps(n, b, acc)
+    if size == 1:  # b's own array is the one basis row, ts[0] the one term
+        ts = np.empty((1,) + acc.shape)
+        bs, rows, term = b[None], [b], ts[0]
+    else:  # one allocation: two were handed back to the OS and faulted in again every call
+        buf = np.empty(size * b.size + (size + 1) * acc.size)
+        bs = buf[: size * b.size].reshape((size,) + b.shape)
+        sums = buf[size * b.size :].reshape((size + 1,) + acc.shape)  # row 0: acc's copy
+        rows = list(bs)
+        spec, bv = ("krc,krw->krcw", bs[:, :, 0]) if fn.ndim == 3 else ("kr,krw->krw", bs)
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
     fmax = float(np.abs(fn).max())  # read only by the exact stop below
@@ -298,23 +324,22 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
     check = first
     j = 0  # steps in the open block
-    for k, c in enumerate(_ratios(n).tolist(), 1):
+    for k, (c, cv) in enumerate(_ratios(n)[1], 1):
         # in place: the third argument is the output (faster than out=)
         row = rows[j]
         np.multiply(b, r, row)
-        np.multiply(row, c, row)
+        np.multiply(row, cv, row)
         b = row
         j += 1
         if j < size and k < n and k != first:  # a block also ends at first
             continue
-        if j == size:
-            np.multiply(vals[k + 1 - j : k + 1], bs, ts)
-            for t in terms:
-                np.add(acc, t, acc)
-        else:  # the short blocks ending at first and at n
-            np.multiply(vals[k + 1 - j : k + 1], bs[:j], ts[:j])
-            for t in terms[:j]:
-                np.add(acc, t, acc)
+        if size == 1:
+            np.multiply(vals[k : k + 1], bs, ts)
+            np.add(acc, term, acc)
+        else:  # the block's j terms into rows 1..j, then acc + t_1 + ... + t_j
+            np.einsum(spec, fn[k + 1 - j : k + 1], bv[:j], out=sums[1 : j + 1])
+            sums[0] = acc
+            np.add.reduce(sums[: j + 1], 0, None, acc)
         j = 0
         # Exact stop. This step used ratio c, and every later step
         # multiplies by r * c_j <= rm * c < 3/4 (the ratios fall with k).

@@ -29,7 +29,9 @@ Two criteria state exactly what the underlying bounds promise, no more:
 """
 
 import contextlib
+import decimal
 import io
+import math
 import tempfile
 import time
 from fractions import Fraction
@@ -155,7 +157,11 @@ def test_criterion_06_operator_distance_bound():
 
 
 def test_criterion_07_two_term_dominance():
-    assert C1 == 1.0898873
+    # C1 is Sikkema's constant (4306 + 837 sqrt 6)/5832 rounded up: the
+    # smallest double at or above it, so the bound never rounds the unsafe way
+    with decimal.localcontext(decimal.Context(prec=60)):
+        sikkema = (4306 + 837 * decimal.Decimal(6).sqrt()) / 5832
+        assert decimal.Decimal(C1) >= sikkema > decimal.Decimal(math.nextafter(C1, 0.0))
     ok = True
     worst_margin = np.inf
     for name in CONTINUOUS:

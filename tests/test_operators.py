@@ -23,7 +23,9 @@ from stancu_lab import (
     moment_closed_form,
     uniform_grid,
 )
-from stancu_lab.operators import _BLOCK, _BLOCK_BYTES
+from stancu_lab import operators
+from stancu_lab.bounds import RatioFamily
+from stancu_lab.operators import _BLOCK, _BLOCK_BYTES, _block_steps
 
 
 def basis_row(n, x):
@@ -298,13 +300,9 @@ EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
                0.0, 1.0, -0.0, np.array([0.77]))
 
 
-@pytest.mark.parametrize(
-    "n", [1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 50, 100, 999, 1000, 1022])
-def test_early_exit_is_bit_identical_to_full_recurrence(n):
-    # the recurrence stops once no later term can change the sum; every
-    # value, batched over BATCH_PAIRS and single for (20, 30), must still
-    # equal the full n-step sum bit for bit
-    ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
+def assert_batch_is_full_recurrence(ps):
+    """Every value, batched over ps and single for ps[1], equals the full
+    n-step sum bit for bit, for each exit table at each exit point set."""
     fns = [np.asarray(f(q.node_values()), dtype=float) for f in EXIT_TABLES for q in ps]
     for xs in EXIT_POINTS:
         want = full_recurrence(np.stack(fns, axis=1), np.reshape(xs, -1)).view(np.int64)
@@ -314,17 +312,68 @@ def test_early_exit_is_bit_identical_to_full_recurrence(n):
             assert (evaluate(f, ps[1], xs).view(np.int64) == cols[:, 1]).all()
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 50, 100, 999, 1000, 1022])
+def test_early_exit_is_bit_identical_to_full_recurrence(n):
+    # the recurrence stops once no later term can change the sum; every
+    # value, batched over BATCH_PAIRS and single for (20, 30), must still
+    # equal the full n-step sum bit for bit
+    assert_batch_is_full_recurrence(tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS))
+
+
+# the collapse experiment's five operators: (4.7, 10) scaled by 1..1e4
+T4_LEVELS = tuple(RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0, 10000.0)).levels())
+
+
+def test_five_operator_stream_is_bit_identical_to_full_recurrence():
+    # on grid 1001 this stream takes _BLOCK-step blocks (see the budget test)
+    assert_batch_is_full_recurrence(tuple(StancuParams(100, a, b) for a, b in T4_LEVELS))
+
+
 def test_wide_streams_are_bit_identical_to_full_recurrence():
-    # _BLOCK steps of basis and term rows for four operators exceed
+    # _BLOCK steps of basis and sum rows for four operators exceed
     # _BLOCK_BYTES here, so each block is one step; the sums must not change
     n, size = 50, 20001
     width = (size - 1) // 2  # points in (0, 1/2], the wider stream row
-    assert _BLOCK * 8 * 2 * width * (1 + len(BATCH_PAIRS)) > _BLOCK_BYTES
+    assert _block_steps(n, np.empty((2, width)), np.empty((2, len(BATCH_PAIRS), width))) == 1
     ps = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS)
     xs = uniform_grid(size)
     for f in EXIT_TABLES[:2]:
         want = full_recurrence(np.stack([f(q.node_values()) for q in ps], axis=1), xs)
         assert (evaluate(f, ps, xs).view(np.int64) == want.view(np.int64)).all()
+
+
+def test_block_sums_run_in_ascending_order():
+    # _stream adds a block's terms to its running sum with one np.add.reduce
+    # over the rows of (K+1)-row buffers; that must be the sequential sum
+    # ((s + t_1) + t_2) + ..., never numpy's pairwise one. On 1.0 followed
+    # by 2**-53 rows the two differ: sequentially every sum rounds back to
+    # 1.0, pairwise the small rows add up first.
+    def sequential(block):
+        acc = np.array(block[0])  # a copy, 0-d for one-element rows
+        for t in block[1:]:
+            np.add(acc, t, acc)
+        return acc
+
+    def block_of(rows, shape):
+        block = np.full((rows,) + shape, 2.0**-53)
+        block[0] = 1.0
+        return block
+
+    # along memory (a one-element sum, which _stream never blocks) numpy
+    # sums pairwise, so these values tell the two orders apart
+    one = block_of(_BLOCK + 1, ())
+    assert np.add.reduce(one, axis=0) != sequential(one)
+    shapes = [(r, w) for r in (1, 2) for w in (1, 2, 501)]
+    shapes += [(r, c, w) for r in (1, 2) for c in range(1, 6) for w in (1, 2, 501)]
+    for shape in shapes:
+        if math.prod(shape) == 1:
+            continue
+        for rows in range(2, _BLOCK + 2):
+            block = block_of(rows, shape)
+            got = np.empty(shape)
+            np.add.reduce(block, 0, None, got)
+            assert (got.view(np.int64) == sequential(block).view(np.int64)).all(), (rows, shape)
 
 
 def test_batched_evaluation_needs_one_shared_degree():
@@ -627,24 +676,38 @@ def test_curve_memory_does_not_grow_with_degree():
     assert peak < 16 * 2**20
 
 
-def test_block_buffers_stay_within_their_budget():
-    # four operators on a wide grid: a step's basis and term rows do not fit
-    # 16 times in _BLOCK_BYTES, so no block may hold more than one step
-    ps = tuple(StancuParams(1000, a, b) for a, b in BATCH_PAIRS)
+def test_block_buffers_stay_within_their_budget(monkeypatch):
+    # the five-operator stream on grid 1001 fits _BLOCK steps of buffers in
+    # _BLOCK_BYTES; four operators on grid 20001 do not, so each of their
+    # blocks is one step. Each stream's block length is recorded from the
+    # kernel's own call of _block_steps.
+    steps = []
+
+    def recorded(*args):
+        steps.append(_block_steps(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(operators, "_block_steps", recorded)
     f = FunctionSpec.builtin("sin15")
-    xs = uniform_grid(20001)
-    out = evaluate(f, ps, xs)  # the operators keep their samples
-    tracemalloc.start()
-    try:
-        evaluate(f, ps, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # block buffers: at most _BLOCK_BYTES, or one output-sized term row (b
-    # itself is the basis row); output-sized: the result, the running sum
-    # and |sum| in the stop test; per point, at most ten floats (u, 1 - u,
-    # b, r, each half's points, the stop test's temporaries) and the masks
-    assert peak < _BLOCK_BYTES + 4 * out.nbytes + 10 * xs.nbytes
+    for n, pairs, size, want in ((100, T4_LEVELS, 1001, _BLOCK), (1000, BATCH_PAIRS, 20001, 1)):
+        ps = tuple(StancuParams(n, a, b) for a, b in pairs)
+        xs = uniform_grid(size)
+        out = evaluate(f, ps, xs)  # the operators keep their samples
+        steps.clear()
+        tracemalloc.start()
+        try:
+            evaluate(f, ps, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == [want]
+        # block buffers: at most _BLOCK_BYTES, or one output-sized term row
+        # (b itself is the basis row); output-sized: the result, the running
+        # sum and |sum| in the stop test; per point, at most ten floats (u,
+        # 1 - u, b, r, each half's points, the stop test's temporaries) and
+        # the masks
+        buffers = _BLOCK_BYTES if want > 1 else out.nbytes
+        assert peak < buffers + 3 * out.nbytes + 10 * xs.nbytes
 
 
 def test_curve_validation():
