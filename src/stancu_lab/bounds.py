@@ -141,22 +141,13 @@ def sup_error(f: FunctionSpec, p: StancuParams) -> float:
     return _max_error(f, evaluate(f, p, uniform_grid(DEFAULT_CONFIG.sup_grid_size)))
 
 
-def _scan(f, p, error: bool) -> tuple[float | None, float]:
-    """(sup-error of p, or None unless ``error``, and p's distance from the
-    plain operator) over the sup grid; f is sampled there only for the error."""
-    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
-    shifted, plain = evaluate(f, (p, _plain(p.n, f)), grid).T
-    sup = _max_error(f, shifted) if error else None
-    return sup, float(np.abs(shifted - plain).max())
-
-
 def operator_distance(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |shifted operator - plain operator| at the same degree.
 
     Every node moves by at most (alpha + beta)/(n + beta), so this is
     bounded by omega(f; (alpha + beta)/(n + beta)) plus grid slack.
     """
-    return _scan(f, p, error=False)[1]
+    return sup_error_and_distance(f, p)[1]
 
 
 def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, float]:
@@ -166,7 +157,8 @@ def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, flo
     single batched ``evaluate`` yields both grid maxima, each
     bit-identical to its own function.
     """
-    return _scan(f, p, error=True)
+    shifted, plain = evaluate(f, (p, _plain(p.n, f)), uniform_grid(DEFAULT_CONFIG.sup_grid_size)).T
+    return _max_error(f, shifted), float(np.abs(shifted - plain).max())
 
 
 def corollary2_bound(f: FunctionSpec, p: StancuParams) -> float:

@@ -7,7 +7,10 @@ as CSV + SVG) and ``converge`` (sup-error scan along a degree sweep).
 Each subcommand accepts exactly the flags it reads.
 
 Exit codes: 0 success, 1 a checked assertion failed, 2 usage or
-validation error. CSV goes to stdout unless ``--out`` names a file.
+validation error, picked by ``main`` alone. CSV goes to stdout unless
+``--out`` names a file. A reader-less stdout stays exit 2 when stderr
+shares the pipe or cannot be written, and a failing check keeps exit 1
+even when its FAIL line is lost.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ __all__ = ["main"]
 _BLOCK = 4096
 
 
+class _Fail(Exception):
+    """A checked claim failed; the message is its FAIL line."""
+
+
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s fd at os.devnull, where what a failed write left buffered flushes."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 @contextmanager
 def _rewrite(path):
     """``open(path, "w")`` without O_TRUNC: ext4 writes a truncated file back at close."""
@@ -56,11 +70,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             stream.flush()  # status lines too: a closed stdout fails here, not at exit
     except OSError as exc:
         if out is None:
-            # bytes a partial write left in the buffer then flush at exit to
-            # nowhere, not to the closed pipe
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_devnull(sys.stdout)
             out = "stdout"
         raise ValueError(f"cannot write {out}: {exc}") from None
 
@@ -85,7 +95,7 @@ def _eval_lines(f, ps, blocks):
         yield from csv_rows([c.tolist() for c in curve_table(f, ps, xs)])
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     f = FunctionSpec.builtin(args.function)
     ps = (StancuParams(args.n), StancuParams(args.n, args.alpha, args.beta))
     # a bad point or a too-large degree raises before --out is opened
@@ -102,16 +112,14 @@ def cmd_eval(args) -> int:
         blocks = (uniform_grid(size, i, i + _BLOCK) for i in range(0, size, _BLOCK))
         lines = _eval_lines(f, ps, blocks)
     _emit(lines, args.out)
-    return 0
 
 
-def cmd_nodes(args) -> int:
+def cmd_nodes(args) -> None:
     p = StancuParams(args.n, args.alpha, args.beta)
     _emit([NODE_HEADER] + node_rows(p), args.out)
-    return 0
 
 
-def _check_t1(args) -> int:
+def _check_t1(args) -> str:
     degrees = [args.n] if args.n is not None else _parse_list(args.n_list, int)
     if not degrees:
         raise ValueError("--n-list must hold at least one degree")
@@ -120,25 +128,21 @@ def _check_t1(args) -> int:
     _emit(["n,max_gap,bound"] + csv_rows(cols), args.out)
     if not report.ok:
         n = report.degrees[report.failing_index]
-        print(f"t1: FAIL at n={n}: max_gap exceeds bound", file=sys.stderr)
-        return 1
-    _emit(["t1: OK"], None)
-    return 0
+        raise _Fail(f"t1: FAIL at n={n}: max_gap exceeds bound")
+    return "t1: OK"
 
 
-def _check_t2(args) -> int:
+def _check_t2(args) -> str:
     p = StancuParams(args.n, args.alpha, args.beta)
     report = check_theorem2(p)
     _emit([NODE_HEADER] + node_rows(p), args.out)
     if not report.ok:
-        print(f"t2: FAIL at k={report.failing_index}", file=sys.stderr)
-        return 1
+        raise _Fail(f"t2: FAIL at k={report.failing_index}")
     crossings = ",".join(str(k) for k in report.crossing_indices) or "none"
-    _emit([f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})"], None)
-    return 0
+    return f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})"
 
 
-def _check_t3(args) -> int:
+def _check_t3(args) -> str:
     if len(args.pair) < 2:
         raise ValueError("t3 needs at least two --pair alpha,beta")
     params = [StancuParams(args.n, *_parse_pair(raw)) for raw in args.pair]
@@ -153,17 +157,12 @@ def _check_t3(args) -> int:
     _emit([header] + csv_rows(cols), args.out)
     for p1, p2, report in zip(params, params[1:], reports):
         if not report.ok:
-            print(
-                f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) "
-                f"at k={report.failing_index}",
-                file=sys.stderr,
-            )
-            return 1
-    _emit([f"t3: OK (m={fmt(m)})"], None)
-    return 0
+            raise _Fail(f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) "
+                        f"at k={report.failing_index}")
+    return f"t3: OK (m={fmt(m)})"
 
 
-def _check_t4(args) -> int:
+def _check_t4(args) -> str:
     if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
         raise ValueError("--epsilon must be positive and finite")
     f = FunctionSpec.builtin(args.function)
@@ -174,22 +173,14 @@ def _check_t4(args) -> int:
             report.distances.tolist(), report.bounds.tolist()]
     _emit(["level,alpha,beta,distance,bound"] + csv_rows(cols), args.out)
     if not report.ok:
-        print(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound",
-              file=sys.stderr)
-        return 1
+        raise _Fail(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound")
     if args.epsilon is not None and not report.final_distance < args.epsilon:
-        print(
-            f"t4: FAIL: final distance {fmt(report.final_distance)} not below "
-            f"epsilon {fmt(args.epsilon)}",
-            file=sys.stderr,
-        )
-        return 1
-    _emit([f"t4: OK (final distance {fmt(report.final_distance)} "
-           f"at f(m)={fmt(report.f_at_m)})"], None)
-    return 0
+        raise _Fail(f"t4: FAIL: final distance {fmt(report.final_distance)} not below "
+                    f"epsilon {fmt(args.epsilon)}")
+    return f"t4: OK (final distance {fmt(report.final_distance)} at f(m)={fmt(report.f_at_m)})"
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> str:
     job = FIGURES.get(args.figure_id)
     if job is None:
         raise ValueError(f"unknown figure {args.figure_id!r}; choose f1..f10")
@@ -206,11 +197,10 @@ def cmd_figure(args) -> int:
                 stream.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write figure outputs: {exc}") from None
-    _emit([str(csv_path), str(svg_path)], None)
-    return 0
+    return f"{csv_path}\n{svg_path}"
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> None:
     f = FunctionSpec.builtin(args.function)
     degrees = _parse_list(args.n_list, int)
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -223,9 +213,7 @@ def cmd_converge(args) -> int:
     _emit([header] + csv_rows([degrees, *zip(*rows)]), args.out)
     for n, (sup, _, bound, _) in zip(degrees, rows):
         if sup > bound + 1e-9:
-            print(f"converge: FAIL at n={n}: sup_error exceeds corollary2_bound", file=sys.stderr)
-            return 1
-    return 0
+            raise _Fail(f"converge: FAIL at n={n}: sup_error exceeds corollary2_bound")
 
 
 # The flags several subcommands share, each declared once.
@@ -281,14 +269,11 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--scales", default="1,10,100", help="comma list of scale factors")
     s.add_argument("--epsilon", type=float, help="final-distance target")
 
-    s = subs.add_parser("figure", help="reproduce a figure as CSV + SVG")
+    s = _command(subs, "figure", cmd_figure, "", help="reproduce a figure as CSV + SVG")
     s.add_argument("figure_id", metavar="figure-id", help="f1..f10")
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--grid", type=int, default=None)
+    for flag, cast in (("--n", int), ("--alpha", float), ("--beta", float), ("--grid", int)):
+        s.add_argument(flag, type=cast)  # None keeps the preset's value
     s.add_argument("--out", default=".", help="output directory")
-    s.set_defaults(func=cmd_figure)
 
     # --n-list sets the degrees. Without --n and without abbreviations, a
     # stray --n is rejected instead of being ignored or read as --n-list.
@@ -300,13 +285,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand, write its status line or its one stderr line, return the exit
+    code. An unwritable stderr keeps the code: a reader-less stdout stays 2 when stderr
+    shares the pipe, and a failing check stays 1 even when its FAIL line is lost."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if status is not None:
+            _emit([status], None)
+        return 0
+    except _Fail as exc:
+        message, code = str(exc), 1
     except (ValueError, MemoryError) as exc:
         # a degree too large to allocate is a rejected input, like any other
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

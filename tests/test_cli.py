@@ -701,31 +701,65 @@ def test_closed_stdout_is_a_usage_error_without_traceback(header, argv):
     assert err.startswith("error: cannot write stdout")
 
 
+def run_reader_gone(cmd, env, cwd, stderr):
+    """Run cmd with stdout on a pipe whose reader is gone before the child
+    starts; ``stderr=None`` puts stderr on that pipe too."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(cmd, stdout=write, stderr=write if stderr is None else stderr,
+                              text=True, env=env, cwd=cwd)
+    finally:
+        os.close(write)
+
+
+T2_OUT = ("check", "t2", "--n", "10", "--alpha", "1", "--beta", "2", "--out", "t2.csv")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv,written", [
-    (("check", "t2", "--n", "10", "--alpha", "1", "--beta", "2", "--out", "t2.csv"), ["t2.csv"]),
+@pytest.mark.parametrize("argv,written,shared", [
+    (T2_OUT, ["t2.csv"], False),
     (("check", "t4", "--function", "sin15", "--n", "20", "--alpha", "4.7", "--beta", "10",
-      "--out", "t4.csv"), ["t4.csv"]),
-    (("figure", "f2", "--out", "."), ["f2.csv", "f2.svg"]),
-], ids=["t2", "t4", "figure"])
-def test_status_line_to_a_closed_stdout_is_a_usage_error(tmp_path, argv, written, unbuffered):
+      "--out", "t4.csv"), ["t4.csv"], False),
+    (("figure", "f2", "--out", "."), ["f2.csv", "f2.svg"], False),
+    (T2_OUT, ["t2.csv"], True),
+], ids=["t2", "t4", "figure", "t2-stderr-on-the-pipe"])
+def test_status_line_to_a_closed_stdout_is_a_usage_error(tmp_path, argv, written, shared,
+                                                         unbuffered):
     # the files are written; only the status line after them has no reader
     cmd, env = module_command(*argv)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     else:
         env.pop("PYTHONUNBUFFERED", None)
-    read, write = os.pipe()
-    os.close(read)  # the reader is gone before the child starts
-    try:
-        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True, env=env,
-                              cwd=tmp_path)
-    finally:
-        os.close(write)
+    # with stderr on the same pipe, the error line is lost but not the exit code
+    proc = run_reader_gone(cmd, env, tmp_path, None if shared else subprocess.PIPE)
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-    assert proc.stderr.startswith("error: cannot write stdout")
+    if not shared:
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout")
     assert all((tmp_path / name).stat().st_size > 0 for name in written)
+
+
+@pytest.mark.parametrize("stderr,argv,code", [
+    (None, ("eval", "--function", "sin15", "--n", "5000", "--x", "0.5"), 2),
+    ("/dev/full", ("eval", "--function", "sin15", "--n", "5000", "--x", "0.5"), 2),
+    (None, ("check", "t4", "--function", "sin15", "--n", "100", "--alpha", "4.7", "--beta", "10",
+            "--scales", "1,10", "--epsilon", "1e-9", "--out", "t4.csv"), 1),
+], ids=["error-to-the-pipe", "error-to-dev-full", "t4-fail-to-the-pipe"])
+def test_a_lost_stderr_line_keeps_the_exit_code(tmp_path, stderr, argv, code):
+    # an error stays exit 2 and a failed check exit 1 when stderr cannot be written
+    if stderr is not None and not os.path.exists(stderr):
+        pytest.skip(f"no {stderr}")
+    cmd, env = module_command(*argv)
+    if stderr is None:
+        proc = run_reader_gone(cmd, env, tmp_path, None)
+    else:
+        with open(stderr, "w") as sink:
+            proc = run_reader_gone(cmd, env, tmp_path, sink)
+    assert proc.returncode == code
+    if "--out" in argv:
+        assert (tmp_path / argv[-1]).stat().st_size > 0
 
 
 def test_module_entry_point():
