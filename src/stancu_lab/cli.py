@@ -22,7 +22,6 @@ import stat
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager, nullcontext
-from itertools import islice
 from pathlib import Path
 
 from .bounds import RatioFamily, corollary2_bound, sup_error_and_distance, theorem4_experiment
@@ -60,13 +59,11 @@ def _rewrite(path):
                 stream.truncate()
 
 
-def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write lines to stdout, or to the file ``out``, one block at a time."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to stdout, or to the file ``out``, each as it comes."""
     try:
         with nullcontext(sys.stdout) if out is None else _rewrite(out) as stream:
-            it = iter(lines)
-            while block := list(islice(it, _BLOCK)):
-                stream.write("\n".join(block) + "\n")
+            stream.writelines(chunks)
             stream.flush()  # status lines too: a closed stdout fails here, not at exit
     except OSError as exc:
         if out is None:
@@ -89,10 +86,9 @@ def _parse_list(raw: str, cast) -> list:
         raise ValueError(f"could not parse list {raw!r}") from None
 
 
-def _eval_lines(f, ps, blocks):
-    yield "x,f,bernstein,stancu"
-    for xs in blocks:
-        yield from csv_rows([c.tolist() for c in curve_table(f, ps, xs)])
+def _eval_chunks(f, ps, blocks):
+    yield "x,f,bernstein,stancu\n"
+    yield from (csv_rows(curve_table(f, ps, xs)) for xs in blocks)
 
 
 def cmd_eval(args) -> None:
@@ -100,7 +96,7 @@ def cmd_eval(args) -> None:
     ps = (StancuParams(args.n), StancuParams(args.n, args.alpha, args.beta))
     # a bad point or a too-large degree raises before --out is opened
     if args.x is not None:
-        lines = list(_eval_lines(f, ps, [_as_unit_interval([args.x], "--x")]))
+        chunks = list(_eval_chunks(f, ps, [_as_unit_interval([args.x], "--x")]))
     else:
         size = 101 if args.grid is None else args.grid
         try:
@@ -108,15 +104,15 @@ def cmd_eval(args) -> None:
             probe = uniform_grid(size, max(size // 2 - 2, 0), size // 2 + 2)
         except ValueError as exc:
             raise ValueError(f"--grid: {exc}") from None
-        list(_eval_lines(f, ps, [probe]))
+        curve_table(f, ps, probe)
         blocks = (uniform_grid(size, i, i + _BLOCK) for i in range(0, size, _BLOCK))
-        lines = _eval_lines(f, ps, blocks)
-    _emit(lines, args.out)
+        chunks = _eval_chunks(f, ps, blocks)
+    _emit(chunks, args.out)
 
 
 def cmd_nodes(args) -> None:
     p = StancuParams(args.n, args.alpha, args.beta)
-    _emit([NODE_HEADER] + node_rows(p), args.out)
+    _emit([f"{NODE_HEADER}\n", node_rows(p)], args.out)
 
 
 def _check_t1(args) -> str:
@@ -124,8 +120,8 @@ def _check_t1(args) -> str:
     if not degrees:
         raise ValueError("--n-list must hold at least one degree")
     report = check_theorem1(StancuParams(max(degrees), args.alpha, args.beta), degrees)
-    cols = [report.degrees, report.max_gaps.tolist(), report.bounds.tolist()]
-    _emit(["n,max_gap,bound"] + csv_rows(cols), args.out)
+    cols = [report.degrees, report.max_gaps, report.bounds]
+    _emit(["n,max_gap,bound\n", csv_rows(cols)], args.out)
     if not report.ok:
         n = report.degrees[report.failing_index]
         raise _Fail(f"t1: FAIL at n={n}: max_gap exceeds bound")
@@ -135,7 +131,7 @@ def _check_t1(args) -> str:
 def _check_t2(args) -> str:
     p = StancuParams(args.n, args.alpha, args.beta)
     report = check_theorem2(p)
-    _emit([NODE_HEADER] + node_rows(p), args.out)
+    _emit([f"{NODE_HEADER}\n", node_rows(p)], args.out)
     if not report.ok:
         raise _Fail(f"t2: FAIL at k={report.failing_index}")
     crossings = ",".join(str(k) for k in report.crossing_indices) or "none"
@@ -152,9 +148,9 @@ def _check_t3(args) -> str:
     cols = [range(args.n + 1)]
     for q in params:
         _, nodes, _, _, dist = node_table(q, m)
-        cols += [nodes.tolist(), dist.tolist()]
+        cols += [nodes, dist]
     header = "k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))
-    _emit([header] + csv_rows(cols), args.out)
+    _emit([header + "\n", csv_rows(cols)], args.out)
     for p1, p2, report in zip(params, params[1:], reports):
         if not report.ok:
             raise _Fail(f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) "
@@ -169,9 +165,8 @@ def _check_t4(args) -> str:
     scales = _parse_list(args.scales, float)
     fam = RatioFamily(args.alpha, args.beta, tuple(scales))
     report = theorem4_experiment(f, args.n, fam)
-    cols = [range(len(report.levels)), *zip(*report.levels),
-            report.distances.tolist(), report.bounds.tolist()]
-    _emit(["level,alpha,beta,distance,bound"] + csv_rows(cols), args.out)
+    cols = [range(len(report.levels)), *zip(*report.levels), report.distances, report.bounds]
+    _emit(["level,alpha,beta,distance,bound\n", csv_rows(cols)], args.out)
     if not report.ok:
         raise _Fail(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound")
     if args.epsilon is not None and not report.final_distance < args.epsilon:
@@ -209,8 +204,8 @@ def cmd_converge(args) -> None:
     for n in degrees:
         p = StancuParams(n, args.alpha, args.beta)
         rows.append((*sup_error_and_distance(f, p), corollary2_bound(f, p), p.displacement_bound()))
-    header = "n,sup_error,operator_distance,corollary2_bound,t1_bound"
-    _emit([header] + csv_rows([degrees, *zip(*rows)]), args.out)
+    header = "n,sup_error,operator_distance,corollary2_bound,t1_bound\n"
+    _emit([header, csv_rows([degrees, *zip(*rows)])], args.out)
     for n, (sup, _, bound, _) in zip(degrees, rows):
         if sup > bound + 1e-9:
             raise _Fail(f"converge: FAIL at n={n}: sup_error exceeds corollary2_bound")
@@ -292,7 +287,7 @@ def main(argv=None) -> int:
     try:
         status = args.func(args)
         if status is not None:
-            _emit([status], None)
+            _emit([status + "\n"], None)
         return 0
     except _Fail as exc:
         message, code = str(exc), 1

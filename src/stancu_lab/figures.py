@@ -7,12 +7,10 @@ families and their distances to m = alpha/beta; single-pair node figures
 use the ``nodes`` subcommand schema, the multi-pair figure f9 prefixes it
 with the pair columns (``alpha,beta,k,...``), one row block per pair.
 
-The SVG for a figure is drawn from the same float values the CSV holds,
-never from a second computation. Columns are built once as float arrays;
-the SVG reads the arrays, and the CSV their ``tolist()`` floats. Each CSV
-cell, written by a shortest round-trip float writer (Ryu), equals their
-``repr`` byte for byte: the shortest decimal that reads back to the same
-float, so the CSV and the SVG cannot disagree.
+The SVG and the CSV of a figure both read the same float arrays, built once,
+never a second computation. Each CSV cell equals the ``repr`` of its float
+(``csv_rows``): the shortest decimal that reads back to it, so the CSV and
+the SVG cannot disagree.
 """
 
 from __future__ import annotations
@@ -65,24 +63,34 @@ def fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _repr_cells(row: str) -> str:
-    return ",".join(repr(float(c)) if "e" in c or "0.0000" in c else c for c in row.split(","))
-
-
-def csv_rows(cols) -> list[str]:
-    """CSV rows of equal-length columns of Python floats (or ints).
-
-    Each cell equals ``repr`` of its value (``fmt`` for a float); build the
-    columns with ``ndarray.tolist()``. One ``orjson.dumps`` writes the table in
-    Ryu's shortest round-trip digits; a cell laid out unlike ``repr`` (``1e-7``,
-    ``1e16``, ``0.00001``) reads back to its float, so ``repr(float(c))`` is exact.
-    """
-    rows = list(zip(*cols))
-    text = orjson.dumps(rows).decode()
-    if "null" in text:  # orjson writes NaN and +-inf as null
-        return [",".join(map(repr, row)) for row in rows]
-    lines = text[2:-2].split("],[") if rows else []
-    return [_repr_cells(r) if "e" in r or "0.0000" in r else r for r in lines]
+def csv_rows(cols) -> str:
+    """CSV text of equal-length float columns, led by at most one int column
+    (``k``, ``n``, ``level``: ``str(int)``), one line per row. One ``orjson.dumps``
+    writes the float64 table in Ryu's shortest round-trip digits, laid out like
+    ``repr`` where ``v == 0`` or ``1e-4 <= |v| < 1e16``; rows holding other values
+    (``1e-7``, ``0.00001``, ``1e16``; NaN, +-inf as ``null``) are written by ``repr``."""
+    if not cols or not len(cols[0]):
+        return ""
+    lead, k = int(not isinstance(cols[0][0], float)), len(cols)
+    table = np.zeros((len(cols[0]), k))  # an int column keeps 0.0 as a placeholder
+    for j in range(lead, k):
+        table[:, j] = cols[j]
+    buf = bytearray(orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    buf[0], buf[-1] = ord(","), ord("\n")  # "[" now leads row 0 as a comma leads each later row
+    b = np.frombuffer(buf, np.uint8)
+    starts = (b == ord(",")).nonzero()[0][::k]
+    if lead:  # each placeholder "0.0" becomes "%.d", which bytes % fills with str(int)
+        b[starts + 1], b[starts + 3] = ord("%"), ord("d")
+    b[starts] = ord("\n")
+    a = np.abs(table)
+    odd = (((a < 1e-4) != (a < 1e16)) == (a == 0.0)).nonzero()[0]  # neither 0 nor in range
+    text = buf[1:]
+    if len(odd):
+        lines = text.split(b"\n")
+        for i in set(odd.tolist()):
+            lines[i] = ("%.d," * lead + ",".join(map(repr, table[i, lead:].tolist()))).encode()
+        text = b"\n".join(lines)
+    return (text % tuple(cols[0]) if lead else text).decode()
 
 
 def with_overrides(job: FigureJob, n=None, grid_size=None, alpha=None, beta=None) -> FigureJob:
@@ -113,13 +121,13 @@ def _node_table(p: StancuParams) -> tuple[np.ndarray, ...]:
     return node_table(p, p.alpha / p.beta if p.beta > 0.0 else None)
 
 
-def _node_csv_rows(table: tuple) -> list[str]:
-    rows = csv_rows([range(len(table[0])), *(c.tolist() for c in table)])
+def _node_csv_rows(table: tuple) -> str:
+    rows = csv_rows([range(len(table[0])), *table])
     # beta = 0: the ratio alpha/beta is undefined, the distance cells stay empty
-    return rows if len(table) > 3 else [row + ",," for row in rows]
+    return rows if len(table) > 3 else rows.replace("\n", ",,\n")
 
 
-def node_rows(p: StancuParams) -> list[str]:
+def node_rows(p: StancuParams) -> str:
     """CSV rows of the nodes schema: k,bernstein_node,stancu_node,gap,dists to m."""
     return _node_csv_rows(_node_table(p))
 
@@ -129,20 +137,17 @@ NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
 
 def _nodes_csv(job: FigureJob, blocks: list) -> str:
     if len(job.pairs) == 1:
-        lines = [NODE_HEADER] + _node_csv_rows(blocks[0])
-    else:
-        lines = ["alpha,beta," + NODE_HEADER]
-        for (a, b), table in zip(job.pairs, blocks):
-            prefix = f"{fmt(a)},{fmt(b)},"
-            lines += [prefix + row for row in _node_csv_rows(table)]
-    return "\n".join(lines) + "\n"
+        return f"{NODE_HEADER}\n{_node_csv_rows(blocks[0])}"
+    text = f"alpha,beta,{NODE_HEADER}\n"
+    for (a, b), table in zip(job.pairs, blocks):
+        prefix = f"{fmt(a)},{fmt(b)},"
+        text += prefix + _node_csv_rows(table)[:-1].replace("\n", "\n" + prefix) + "\n"
+    return text
 
 
 def _curve_csv(job: FigureJob, cols: list[np.ndarray]) -> str:
-    """Header x,f,bernstein,stancu[,stancu2,stancu3] and the rows of ``cols``."""
     more = "".join(f",stancu{i}" for i in range(2, len(job.pairs) + 1))
-    rows = csv_rows([c.tolist() for c in cols])
-    return "\n".join([f"x,f,bernstein,stancu{more}"] + rows) + "\n"
+    return f"x,f,bernstein,stancu{more}\n{csv_rows(cols)}"
 
 
 def _curve_svg(job: FigureJob, cols: list[np.ndarray]) -> str:

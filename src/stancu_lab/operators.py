@@ -149,7 +149,7 @@ class StancuParams:
             raise ValueError("n must be >= 1")
         a, b = float(self.alpha), float(self.beta)
         if not (np.isfinite(a) and np.isfinite(b)) or not (0.0 <= a <= b):
-            raise ValueError("shift parameters must satisfy 0 <= alpha <= beta")
+            raise ValueError("shift parameters must be finite and satisfy 0 <= alpha <= beta")
 
     def node_values(self) -> np.ndarray:
         """The n+1 sample points (k + alpha)/(n + beta), k = 0..n, read-only."""

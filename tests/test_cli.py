@@ -118,6 +118,13 @@ def test_eval_rejects_swapped_shifts(capsys):
     assert "alpha <= beta" in err
 
 
+@pytest.mark.parametrize("shift", [("--beta", "inf"), ("--alpha", "nan", "--beta", "1")])
+def test_eval_rejects_non_finite_shifts(capsys, shift):
+    rc, out, err = run(capsys, "eval", "--n", "5", *shift, "--x", "0.5")
+    assert (rc, out) == (2, "")
+    assert err == "error: shift parameters must be finite and satisfy 0 <= alpha <= beta\n"
+
+
 def test_eval_rejects_point_outside_domain(capsys):
     rc, _, err = run(capsys, "eval", "--function", "e1", "--n", "10", "--x", "1.5")
     assert rc == 2
@@ -666,17 +673,20 @@ def test_output_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, writer
 
 
 def test_a_stream_cut_short_leaves_only_the_lines_written(tmp_path):
-    # the first block is written; the error comes while the second is gathered
+    # each chunk is written as it comes; the error comes while the third is
+    # built, and the file ends where the second ended
     target = tmp_path / "cut.csv"
     target.write_text("stale\n" * (3 * _BLOCK))
+    lines = [f"{i}\n" for i in range(_BLOCK + 10)]
 
-    def lines():
-        yield from map(str, range(_BLOCK + 10))
+    def chunks():
+        yield "".join(lines[:_BLOCK])
+        yield "".join(lines[_BLOCK:])
         raise RuntimeError("cut")
 
     with pytest.raises(RuntimeError, match="cut"):
-        _emit(lines(), str(target))
-    assert target.read_text() == "".join(f"{i}\n" for i in range(_BLOCK))
+        _emit(chunks(), str(target))
+    assert target.read_text() == "".join(lines)
 
 
 # -------------------------------------------------------------- process

@@ -9,15 +9,19 @@ the formatting and the chart arithmetic must not.
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stancu_lab import FunctionSpec, StancuParams, apply_operator_curve, evaluate, svg
+from stancu_lab import (FunctionSpec, RatioFamily, StancuParams, apply_operator_curve,
+                        check_theorem1, corollary2_bound, evaluate, sup_error_and_distance, svg,
+                        theorem4_experiment)
 from stancu_lab.cli import main
 from stancu_lab.figures import FIGURES, csv_rows, with_overrides
+from stancu_lab.nodes import node_table
 
 
 def run_figure(capsys, tmp_path, case):
@@ -119,37 +123,118 @@ def test_eval_grid_cells(capsys, grid):
     assert_cells(data_rows(out), cols)
 
 
+def assert_int_led(csv_text, ints, cols):
+    """Each row is ``str(int)`` of its int, then ``repr`` of each float."""
+    rows = data_rows(csv_text)
+    assert [row[0] for row in rows] == [str(int(k)) for k in ints]
+    assert_cells([row[1:] for row in rows], cols)
+
+
+@pytest.mark.parametrize("shift", [("20", "30"), ("1e300", "1e301")])
+def test_check_t1_cells(capsys, shift):
+    degrees = [25, 50, 100, 250]
+    argv = ["check", "t1", "--alpha", shift[0], "--beta", shift[1],
+            "--n-list", ",".join(map(str, degrees))]
+    assert main(argv) == 0
+    report = check_theorem1(StancuParams(250, *map(float, shift)), degrees)
+    assert_int_led(capsys.readouterr().out.split("t1: ")[0], degrees,
+                   [report.max_gaps, report.bounds])
+
+
+def test_check_t3_cells(capsys):
+    pairs = [(4.7, 10.0), (47.0, 100.0), (470.0, 1000.0)]
+    argv = ["check", "t3", "--n", "100"] + [f"--pair={a},{b}" for a, b in pairs]
+    assert main(argv) == 0
+    cols = []
+    for a, b in pairs:
+        _, nodes, _, _, dist = node_table(StancuParams(100, a, b), pairs[0][0] / pairs[0][1])
+        cols += [nodes, dist]
+    assert_int_led(capsys.readouterr().out.split("t3: ")[0], range(101), cols)
+
+
+@pytest.mark.parametrize("function", ["sin15", "e0"])  # e0: exponent cells near 1e-15
+def test_check_t4_cells(capsys, function):
+    argv = ["check", "t4", "--function", function, "--n", "100", "--alpha", "4.7",
+            "--beta", "10", "--scales", "1,10,100"]
+    assert main(argv) == 0
+    fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0))
+    report = theorem4_experiment(FunctionSpec.builtin(function), 100, fam)
+    alphas, betas = zip(*report.levels)
+    assert_int_led(capsys.readouterr().out.split("t4: ")[0], range(3),
+                   [alphas, betas, report.distances, report.bounds])
+
+
+def test_converge_cells(capsys):
+    degrees = [50, 100, 250]
+    argv = ["converge", "--function", "sin15", "--alpha", "20", "--beta", "30",
+            "--n-list", ",".join(map(str, degrees))]
+    assert main(argv) == 0
+    f = FunctionSpec.builtin("sin15")
+    rows = []
+    for n in degrees:
+        p = StancuParams(n, 20.0, 30.0)
+        rows.append((*sup_error_and_distance(f, p), corollary2_bound(f, p), p.displacement_bound()))
+    assert_int_led(capsys.readouterr().out, degrees, list(zip(*rows)))
+
+
 def repr_rows(cols):
-    """The reference CSV rows: every cell is ``repr`` of its value."""
-    return [",".join(map(repr, row)) for row in zip(*cols)]
+    """The reference CSV text: every cell is ``repr`` of its value as a Python
+    number, every row ends in a newline."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 # cells the shortest round-trip writer lays out unlike repr (subnormals,
 # exponents, positional values below 1e-4) next to cells it lays out alike
 EDGE_FLOATS = [5e-324, 1e-4, 9.9e-05, 1e16, 2.0**53 + 2, 1.7976931348623157e308,
                -0.0, 9.547918011776346e-15]
+# the ends of the range csv_rows leaves to orjson, [1e-4, 1e16), and their neighbours
+RANGE_ENDS = [v for e in (1e-4, 1e16) for s in (1.0, -1.0)
+              for v in (math.nextafter(s * e, 0.0), s * e, math.nextafter(s * e, s * math.inf))]
+# any 64-bit pattern: subnormals, -0.0, NaN payloads and +-inf included
+BIT_FLOATS = st.integers(0, 2**64 - 1).map(lambda u: struct.unpack("<d", struct.pack("<Q", u))[0])
 
 
 @st.composite
 def tables(draw):
-    """An int column next to 1-4 columns of any floats, NaN and +-inf included."""
+    """An optional int column (a range, a list or an int64 array) and 0-4
+    columns of any floats (lists or float64 arrays); at least one column."""
     size = draw(st.integers(0, 30))
-    ints = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size))
-    floats = st.lists(st.floats(), min_size=size, max_size=size)
-    return [ints, *draw(st.lists(floats, min_size=1, max_size=4))]
+    cols = []
+    form = draw(st.sampled_from(["none", "range", "list", "array"]))
+    if form == "range":
+        start = draw(st.integers(-(2**63), 2**63))
+        cols.append(range(start, start + size))
+    elif form != "none":
+        top = 2**63 - 1 if form == "array" else 2**63
+        ints = draw(st.lists(st.integers(-(2**63), top), min_size=size, max_size=size))
+        cols.append(np.array(ints, dtype=np.int64) if form == "array" else ints)
+    floats = st.one_of(st.floats(), BIT_FLOATS, st.sampled_from(EDGE_FLOATS + RANGE_ENDS))
+    for _ in range(draw(st.integers(0 if cols else 1, 4))):
+        col = draw(st.lists(floats, min_size=size, max_size=size))
+        cols.append(np.array(col, dtype=float) if draw(st.booleans()) else col)
+    return cols
 
 
 @given(tables())
 @example([range(8), EDGE_FLOATS, [-v for v in EDGE_FLOATS]])
 @example([range(2), [math.nan, 0.5], [1e-07, -math.inf]])
+@example([np.arange(12), np.array(RANGE_ENDS), RANGE_ENDS[::-1]])
+@example([[2**63, -(2**63)], np.array([math.nan, -0.0]), [math.inf, 5e-324]])
+@example([np.array([-(2**63), 2**63 - 1], dtype=np.int64), np.array([-math.inf, 1e-05])])
 @settings(max_examples=300, deadline=None)
 def test_csv_rows_equal_repr(cols):
-    assert csv_rows(cols) == repr_rows(cols)
+    text = csv_rows(cols)
+    assert text == repr_rows(cols)
+    assert "np." not in text  # NaN and +-inf print as nan, inf, -inf
 
 
 def test_csv_rows_of_empty_and_one_column_tables():
-    for cols in ([], [[]], [[], range(0)], [EDGE_FLOATS], [range(3)]):
+    for cols in ([], [[]], [[], range(0)], [np.empty(0)], [range(0), np.empty(0)],
+                 [EDGE_FLOATS], [np.array(EDGE_FLOATS)], [range(3)], [[-7, 2**63]],
+                 [np.arange(-1, 2)]):
         assert csv_rows(cols) == repr_rows(cols)
+    assert csv_rows([np.array([math.nan, math.inf, -math.inf])]) == "nan\ninf\n-inf\n"
 
 
 @st.composite
