@@ -31,27 +31,27 @@ __all__ = ["FIGURES", "FigureJob", "build_figure"]
 class FigureJob:
     figure_id: str
     kind: str  # "curve" | "nodes"
-    function: str
     n: int
     pairs: tuple[tuple[float, float], ...]
     grid_size: int = 1001
 
 
+_FUNCTION = "sin15"  # the function every curve figure samples
 _FIG9_PAIRS = ((4.7, 10.0), (47.0, 100.0), (470.0, 1000.0))
 
 FIGURES: dict[str, FigureJob] = {
-    "f1": FigureJob("f1", "curve", "sin15", 50, ((20.0, 30.0),)),
-    "f2": FigureJob("f2", "curve", "sin15", 250, ((20.0, 30.0),)),
+    "f1": FigureJob("f1", "curve", 50, ((20.0, 30.0),)),
+    "f2": FigureJob("f2", "curve", 250, ((20.0, 30.0),)),
     # f3-f5 default to the captioned degree 25; pass --n 100 for the
     # in-text variant of the same three figures.
-    "f3": FigureJob("f3", "nodes", "sin15", 25, ((17.0, 100.0),)),
-    "f4": FigureJob("f4", "nodes", "sin15", 25, ((47.0, 100.0),)),
-    "f5": FigureJob("f5", "nodes", "sin15", 25, ((77.0, 100.0),)),
-    "f6": FigureJob("f6", "curve", "sin15", 100, ((17.0, 100.0),)),
-    "f7": FigureJob("f7", "curve", "sin15", 100, ((47.0, 100.0),)),
-    "f8": FigureJob("f8", "curve", "sin15", 100, ((77.0, 100.0),)),
-    "f9": FigureJob("f9", "nodes", "sin15", 100, _FIG9_PAIRS),
-    "f10": FigureJob("f10", "curve", "sin15", 100, _FIG9_PAIRS),
+    "f3": FigureJob("f3", "nodes", 25, ((17.0, 100.0),)),
+    "f4": FigureJob("f4", "nodes", 25, ((47.0, 100.0),)),
+    "f5": FigureJob("f5", "nodes", 25, ((77.0, 100.0),)),
+    "f6": FigureJob("f6", "curve", 100, ((17.0, 100.0),)),
+    "f7": FigureJob("f7", "curve", 100, ((47.0, 100.0),)),
+    "f8": FigureJob("f8", "curve", 100, ((77.0, 100.0),)),
+    "f9": FigureJob("f9", "nodes", 100, _FIG9_PAIRS),
+    "f10": FigureJob("f10", "curve", 100, _FIG9_PAIRS),
 }
 
 _CURVE_COLORS = ["red", "blue", "magenta", "black", "green"]
@@ -153,7 +153,7 @@ def _curve_csv(job: FigureJob, cols: list[np.ndarray]) -> str:
 def _curve_svg(job: FigureJob, cols: list[np.ndarray]) -> str:
     labels = ["f", "bernstein"] + [f"stancu a={a:g} b={b:g}" for a, b in job.pairs]
     series = cols[1:]
-    title = f"{job.figure_id}: {job.function}, n={job.n}"
+    title = f"{job.figure_id}: {_FUNCTION}, n={job.n}"
     return svg.line_chart(cols[0], series, labels, _CURVE_COLORS[: len(series)], title)
 
 
@@ -172,7 +172,7 @@ def build_figure(job: FigureJob) -> tuple[str, str]:
     """Return (csv_text, svg_text) for a figure job."""
     if job.kind == "curve":
         ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
-        cols = curve_table(FunctionSpec.builtin(job.function), ps, uniform_grid(job.grid_size))
+        cols = curve_table(FunctionSpec.builtin(_FUNCTION), ps, uniform_grid(job.grid_size))
         return _curve_csv(job, cols), _curve_svg(job, cols)
     blocks = [_node_table(StancuParams(job.n, a, b)) for a, b in job.pairs]
     return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

@@ -112,7 +112,7 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
     entry of ``n_sequence`` in turn.
     """
     params = [StancuParams(n, p.alpha, p.beta) for n in n_sequence]
-    degrees = tuple(int(q.n) for q in params)
+    degrees = tuple(q.n for q in params)
     if len(degrees) == 0:
         raise ValueError("n_sequence must be non-empty")
     if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):

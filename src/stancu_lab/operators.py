@@ -31,8 +31,8 @@ the same roundings in the same order. A block holds at most 17 sum rows:
 a ufunc accumulate along all of k (column by column) was 5-10x slower.
 Both read a cached ratio table per degree and the node values each
 StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie in
-[0, 1]) at the float copy of its node table, and the operator keeps those
-samples for the last spec, by identity, applied to it.
+[0, 1]) at its node table, and the operator keeps those samples for the
+last spec, by identity, applied to it.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class StancuParams:
-    """Operator degree n >= 1 plus the node shifts, 0 <= alpha <= beta."""
+    """Operator degree n >= 1 plus the node shifts, 0 <= alpha <= beta, converted
+    to an ``int`` and two floats: equal values give equal operators and results."""
 
     n: int
     alpha: float = 0.0
@@ -148,8 +149,11 @@ class StancuParams:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         a, b = float(self.alpha), float(self.beta)
-        if not (np.isfinite(a) and np.isfinite(b)) or not (0.0 <= a <= b):
+        if not (math.isfinite(a) and math.isfinite(b)) or not (0.0 <= a <= b):
             raise ValueError("shift parameters must be finite and satisfy 0 <= alpha <= beta")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
 
     def node_values(self) -> np.ndarray:
         """The n+1 sample points (k + alpha)/(n + beta), k = 0..n, read-only."""
@@ -161,13 +165,6 @@ class StancuParams:
         nodes.setflags(write=False)
         return nodes
 
-    @cached_property
-    def _float_nodes(self) -> np.ndarray:
-        """``node_values()`` as floats, read-only: the same table unless the shifts are exact."""
-        nodes = np.asarray(self._nodes, dtype=float)
-        nodes.setflags(write=False)
-        return nodes
-
     def _sampled(self, f) -> np.ndarray:
         """f at the nodes as floats; kept read-only for the last FunctionSpec (by ``is``)."""
         if not isinstance(f, FunctionSpec):  # other callables may be impure: never kept
@@ -176,13 +173,13 @@ class StancuParams:
         if memo is None or memo[0] is not f:  # not ==: that equates 0.0 and -0.0 samples
             # No range check: t_0 = alpha/(n + beta) >= 0, and rounding is
             # monotone, so fl(k + alpha) <= fl(n + alpha) <= fl(n + beta): t_k <= 1.
-            fn = f._sample(self._float_nodes)  # a new float array
+            fn = f._sample(self._nodes)  # a new float array
             fn.setflags(write=False)
             vars(self)["_memo"] = memo = (f, fn)
         return memo[1]
 
     def __getstate__(self):  # copies and pickles build their own read-only tables
-        return {k: v for k, v in vars(self).items() if k not in ("_nodes", "_float_nodes", "_memo")}
+        return {k: v for k, v in vars(self).items() if k not in ("_nodes", "_memo")}
 
     def displacement_bound(self) -> float:
         """(alpha + beta)/(n + beta), which no node's distance from k/n exceeds.
@@ -376,13 +373,12 @@ def evaluate(f, p, xs) -> np.ndarray:
     basis depends on n and x only, so one recurrence serves them all and
     the result has shape (len(xs), len(p)), column j bit-identical to
     ``evaluate(f, p[j], xs)``. For one operator, ``f`` maps the node array
-    t (``node_values()``, exact for exact shifts; a FunctionSpec gets its
-    float copy) to values; an (n+1, C) value array gives results of shape
-    (len(xs), C). A FunctionSpec is sampled once per operator, which keeps
-    the samples of the last spec it was given; other callables are called
-    every time. x = 0 and x = 1 return f(t_0) and f(t_n) exactly (the
-    recurrence would hit 0**0 there). Points x > 1/2 are reflected to
-    1 - x with the node values reversed.
+    t (``node_values()``) to values; an (n+1, C) value array gives results
+    of shape (len(xs), C). A FunctionSpec is sampled once per operator,
+    which keeps the samples of the last spec it was given; other callables
+    are called every time. x = 0 and x = 1 return f(t_0) and f(t_n)
+    exactly (the recurrence would hit 0**0 there). Points x > 1/2 are
+    reflected to 1 - x with the node values reversed.
     """
     if not isinstance(xs, float):  # np.float64 is a float too
         xs = np.asarray(xs, dtype=float).reshape(-1)

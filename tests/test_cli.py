@@ -437,8 +437,8 @@ def test_flag_the_command_does_not_read_is_a_usage_error(flag, argv):
 def test_figure_presets_round_trip():
     from stancu_lab.figures import FIGURES, build_figure
 
-    assert (FIGURES["f1"].function, FIGURES["f1"].n, FIGURES["f1"].pairs) == (
-        "sin15", 50, ((20.0, 30.0),))
+    assert (FIGURES["f1"].kind, FIGURES["f1"].n, FIGURES["f1"].pairs) == (
+        "curve", 50, ((20.0, 30.0),))
     assert FIGURES["f2"].n == 250
     for fid, alpha in (("f3", 17.0), ("f4", 47.0), ("f5", 77.0)):
         assert FIGURES[fid].kind == "nodes"

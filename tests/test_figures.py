@@ -68,7 +68,8 @@ def scalar_polylines(xs, series):
 @pytest.mark.parametrize("fid", ["f1", "f2", "f6", "f7", "f8", "f10", "f10 --grid 2001"])
 def test_curve_figure_cells_and_points(capsys, tmp_path, fid):
     job, csv_text, svg_text = run_figure(capsys, tmp_path, fid)
-    f = FunctionSpec.builtin(job.function)
+    f = FunctionSpec.builtin("sin15")  # every curve preset samples sin(15x)
+    assert f">{job.figure_id}: sin15, n={job.n}</text>" in svg_text
     grid = np.linspace(0.0, 1.0, job.grid_size)
     cols = [grid, f(grid)] + [
         apply_operator_curve(f, StancuParams(job.n, a, b), job.grid_size).values

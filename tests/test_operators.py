@@ -443,6 +443,7 @@ ANY_FLOAT = st.floats(0.0, sys.float_info.max)  # subnormals and ~1e308 included
 @example(n=2000, shifts=[sys.float_info.max, sys.float_info.max])
 @example(n=10**6, shifts=[1e308, sys.float_info.max])
 @example(n=7, shifts=[0.0, 5e-324])
+@example(n=5, shifts=[2**70, 2**71])  # ints past float64's 2**53, converted on construction
 @settings(max_examples=200, deadline=None)
 def test_node_values_are_finite_and_lie_in_the_unit_interval(n, shifts):
     # evaluate samples a FunctionSpec at node_values() without a range
@@ -461,7 +462,7 @@ SIN15 = FunctionSpec.builtin("sin15")
 @settings(max_examples=25, deadline=None)
 def test_unchecked_sampling_matches_the_checked_call(f, n, shifts):
     # the unchecked node sampler gives the same bits as calling the spec,
-    # also for exact Fraction shifts, whose node_values() is an object array
+    # also for Fraction shifts, converted to floats on construction
     for p in (StancuParams(n, *shifts), StancuParams(n, *map(Fraction, shifts))):
         for xs in (uniform_grid(33), 0.3, 0.77):
             want = evaluate(lambda t: f(t), p, xs).view(np.int64)
@@ -479,37 +480,52 @@ def test_node_table_is_built_once_and_read_only(n, shifts):
     assert p.node_values() is t
     with pytest.raises(ValueError, match="read-only"):
         t[0] = 0.5
-    want = (np.arange(n + 1) + shifts[0]) / (n + shifts[1])
-    assert t.dtype == want.dtype and t.shape == (n + 1,)
-    if t.dtype == object:  # exact Fraction nodes
-        assert all(type(a) is Fraction and a == b for a, b in zip(t, want))
-    else:
-        assert (t.view(np.int64) == want.view(np.int64)).all()
-    # the float table a FunctionSpec is sampled from: the same array unless exact
-    ft = p._float_nodes
-    assert p._float_nodes is ft and not ft.flags.writeable and ft.dtype == float
-    assert (ft is t) == (t.dtype == float)
-    assert (ft.view(np.int64) == np.asarray(t, dtype=float).view(np.int64)).all()
+    # Fraction shifts become the nearest floats: one float table for every input
+    want = (np.arange(n + 1) + float(shifts[0])) / (n + float(shifts[1]))
+    assert t.dtype == float and t.shape == (n + 1,)
+    assert (t.view(np.int64) == want.view(np.int64)).all()
 
 
-def test_exact_shifts_keep_exact_nodes_for_other_callables(monkeypatch):
+def test_every_callable_is_handed_the_one_node_table(monkeypatch):
     p = StancuParams(7, Fraction(1, 3), Fraction(7, 2))
     seen = []
 
     def f(t):
         seen.append(t)
-        return np.asarray(t, dtype=float)
+        return t
 
     evaluate(f, p, 0.3)
-    assert seen[0] is p.node_values() and seen[0].dtype == object
-    # a FunctionSpec is sampled from the float table, converted once per
-    # operator, and its samples are kept: 3 calls sample it once
+    assert seen[0] is p.node_values() and seen[0].dtype == float
+    # a FunctionSpec is sampled at that same table, and its samples are
+    # kept: 3 calls sample it once
     spec, sample = FunctionSpec.builtin("e1"), FunctionSpec._sample
     seen.clear()
     monkeypatch.setattr(FunctionSpec, "_sample", lambda self, t: seen.append(t) or sample(self, t))
     for _ in range(3):
         evaluate(spec, p, 0.3)
-    assert len(seen) == 1 and seen[0] is p._float_nodes
+    assert len(seen) == 1 and seen[0] is p.node_values()
+
+
+@pytest.mark.parametrize("n, shifts", [
+    (50, (20, 30)),
+    (7, (Fraction(1, 3), Fraction(7, 2))),
+    (10, (np.float32(0.1), np.float32(0.3))),
+    (50, (np.float64(4.7), np.float64(10.0))),
+    (np.int64(50), (20.0, 30.0)),
+], ids=["int", "Fraction", "float32", "float64", "int64-n"])
+def test_operators_are_values_of_an_int_and_two_floats(n, shifts):
+    # any integer degree and any real shifts are converted on construction:
+    # the operator is the one built from the same values as int and floats
+    p, q = StancuParams(n, *shifts), StancuParams(int(n), *map(float, shifts))
+    assert (type(p.n), type(p.alpha), type(p.beta)) == (int, float, float)
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert p.node_values().dtype == float
+    assert p.node_values().tobytes() == q.node_values().tobytes()
+    bound = p.displacement_bound()
+    assert type(bound) is float and bound.hex() == q.displacement_bound().hex()
+    for f in (SIN15, TABULATED):
+        for xs in (uniform_grid(33), 0.3, 0.77):
+            assert evaluate(f, p, xs).tobytes() == evaluate(f, q, xs).tobytes()
 
 
 def test_node_table_leaves_equality_hash_and_repr_alone():
@@ -540,10 +556,6 @@ def test_copies_build_their_own_read_only_table(shifts, clone):
     assert q == p and hash(q) == hash(p)
     assert q.node_values().flags.writeable is False
     assert list(q.node_values()) == list(t)
-    p._float_nodes
-    q = clone(p)
-    assert q._float_nodes.flags.writeable is False
-    assert q._float_nodes.tolist() == p._float_nodes.tolist()
     assert not p.node_values().flags.writeable and p.node_values() is t
     # a used sample memo is not copied either: the copy samples afresh
     fn = p._sampled(SIN15)
@@ -611,7 +623,7 @@ def test_kept_samples_are_read_only():
         out = evaluate(TABULATED, p, xs)
         assert out.flags.writeable and not np.shares_memory(out, fn)
         out[...] = 7.0
-    assert (fn == TABULATED(p._float_nodes)).all()
+    assert (fn == TABULATED(p.node_values())).all()
 
 
 def test_kept_samples_are_keyed_by_identity_not_equality():
