@@ -21,7 +21,6 @@ import os
 import stat
 import sys
 from collections.abc import Iterable
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .bounds import RatioFamily, corollary2_bound, sup_error_and_distance, theorem4_experiment
@@ -47,24 +46,30 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
-@contextmanager
-def _rewrite(path):
-    """``open(path, "w")`` without O_TRUNC: ext4 writes a truncated file back at close."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
-              newline="\n") as stream:
+def _write(path, chunks: Iterable[str]) -> None:
+    """Write text chunks to the file ``path`` as UTF-8, each as it comes, in place: no
+    O_TRUNC (ext4 writes a truncated file back at close), and a regular file is cut last."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for chunk in chunks:
+            data = memoryview(chunk.encode())
+            while data:  # a pipe or a signal may take fewer bytes than asked
+                data = data[os.write(fd, data):]
+    finally:
         try:
-            yield stream
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # only a file has a tail
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         finally:
-            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):  # only a file has a tail
-                stream.truncate()
+            os.close(fd)
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks to stdout, or to the file ``out``, each as it comes."""
     try:
-        with nullcontext(sys.stdout) if out is None else _rewrite(out) as stream:
-            stream.writelines(chunks)
-            stream.flush()  # status lines too: a closed stdout fails here, not at exit
+        if out is not None:
+            return _write(out, chunks)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # status lines too: a closed stdout fails here, not at exit
     except OSError as exc:
         if out is None:
             _to_devnull(sys.stdout)
@@ -186,10 +191,10 @@ def cmd_figure(args) -> str:
     csv_path = out_dir / f"{job.figure_id}.csv"
     svg_path = out_dir / f"{job.figure_id}.svg"
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path, text in ((csv_path, csv_text), (svg_path, svg_text)):
-            with _rewrite(path) as stream:
-                stream.write(text)
+        if not out_dir.is_dir():  # mkdir raises and catches FileExistsError on every re-run
+            out_dir.mkdir(parents=True, exist_ok=True)
+        _write(csv_path, [csv_text])
+        _write(svg_path, [svg_text])
     except OSError as exc:
         raise ValueError(f"cannot write figure outputs: {exc}") from None
     return f"{csv_path}\n{svg_path}"

@@ -38,6 +38,7 @@ last spec, by identity, applied to it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -136,7 +137,7 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class StancuParams:
-    """Operator degree n >= 1 plus the node shifts, 0 <= alpha <= beta, converted
+    """Operator degree n >= 1 plus the real node shifts, 0 <= alpha <= beta, converted
     to an ``int`` and two floats: equal values give equal operators and results."""
 
     n: int
@@ -148,7 +149,11 @@ class StancuParams:
             raise ValueError("n must be an integer")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        a, b = float(self.alpha), float(self.beta)
+        shifts = (self.alpha, self.beta)
+        try:  # a shift that is not real, or is real beyond the float range, fails like inf
+            a, b = (float(s) if isinstance(s, numbers.Real) else math.inf for s in shifts)
+        except OverflowError:
+            a = b = math.inf
         if not (math.isfinite(a) and math.isfinite(b)) or not (0.0 <= a <= b):
             raise ValueError("shift parameters must be finite and satisfy 0 <= alpha <= beta")
         object.__setattr__(self, "n", int(self.n))

@@ -689,6 +689,50 @@ def test_a_stream_cut_short_leaves_only_the_lines_written(tmp_path):
     assert target.read_text() == "".join(lines)
 
 
+@pytest.mark.parametrize("argv,names", [
+    (lambda d: ["figure", "f1", "--out", str(d)], ["f1.csv", "f1.svg"]),
+    (lambda d: ["eval", "--n", "50", "--grid", "1001", "--out", str(d / "eval.csv")],
+     ["eval.csv"]),
+], ids=["figure", "eval"])
+def test_short_writes_are_retried_until_every_byte_is_written(capsys, tmp_path, monkeypatch,
+                                                              argv, names):
+    # like a pipe or an interrupted write: each os.write takes at most 4096 bytes
+    (tmp_path / "whole").mkdir()
+    assert run(capsys, *argv(tmp_path / "whole"))[0] == 0
+    write, asked = os.write, []
+
+    def short_write(fd, data):
+        asked.append(len(data))
+        return write(fd, data[:4096])
+
+    monkeypatch.setattr(os, "write", short_write)
+    (tmp_path / "short").mkdir()
+    assert run(capsys, *argv(tmp_path / "short"))[0] == 0
+    monkeypatch.undo()
+    assert max(asked) > 4096  # some write was cut short, or this test shows nothing
+    for name in names:
+        assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_figure_creates_the_missing_directories(capsys, tmp_path):
+    (tmp_path / "old").mkdir()
+    assert run(capsys, "figure", "f3", "--out", str(tmp_path / "old"))[0] == 0
+    target = tmp_path / "a" / "b" / "c"
+    rc, out, err = run(capsys, "figure", "f3", "--out", str(target))
+    assert (rc, out, err) == (0, f"{target / 'f3.csv'}\n{target / 'f3.svg'}\n", "")
+    for name in ("f3.csv", "f3.svg"):
+        assert (target / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+def test_figure_into_a_regular_file_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "f1.first.csv"
+    target.write_bytes(b"k,old\n" * 100)
+    rc, out, err = run(capsys, "figure", "f1", "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot write figure outputs: ")
+    assert target.read_bytes() == b"k,old\n" * 100
+
+
 # -------------------------------------------------------------- process
 
 

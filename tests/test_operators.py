@@ -528,6 +528,18 @@ def test_operators_are_values_of_an_int_and_two_floats(n, shifts):
             assert evaluate(f, p, xs).tobytes() == evaluate(f, q, xs).tobytes()
 
 
+@pytest.mark.parametrize("shifts", [
+    ("1", "2"),
+    (10**400, 10**401),
+    (1j, 2),
+    (None, 1),
+], ids=["str", "overflow", "complex", "None"])
+def test_shifts_must_be_reals_within_the_float_range(shifts):
+    # a string is not read as a number, and neither OverflowError nor TypeError escapes
+    with pytest.raises(ValueError, match="shift parameters must be finite"):
+        StancuParams(5, *shifts)
+
+
 def test_node_table_leaves_equality_hash_and_repr_alone():
     fresh, used = StancuParams(50, 20.0, 30.0), StancuParams(50, 20.0, 30.0)
     before = (repr(used), hash(used))
