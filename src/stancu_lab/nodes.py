@@ -132,19 +132,17 @@ class ClusterReport(CheckReport):
     """How the shifted nodes sit around the ratio m = alpha/beta.
 
     ``stancu_dist`` equals ``contraction * bernstein_dist`` up to float
-    rounding (``identity_error`` is the measured residual); the two node
-    families coincide exactly at the ``crossing_indices``. A node fails
-    when it is farther from m than its plain node, or when, off m, it does
-    not lie strictly between its plain node and m.
+    rounding, and the two node families coincide exactly at the
+    ``crossing_indices``; the tests check both. A node fails when it is
+    farther from m than its plain node, or when, off m, it does not lie
+    strictly between its plain node and m.
     """
 
     ratio_m: float
     bernstein_dist: np.ndarray
     stancu_dist: np.ndarray
-    max_gap: float
     crossing_indices: tuple[int, ...]
     contraction: float
-    identity_error: float
     failing_index: int | None
 
 
@@ -152,21 +150,16 @@ def check_theorem2(p: StancuParams) -> ClusterReport:
     """Check the contraction of the shifted nodes toward m = alpha/beta (beta > 0)."""
     if p.beta <= 0.0:
         raise ValueError("beta must be positive: the ratio alpha/beta is undefined at 0")
-    n, a, b = p.n, p.alpha, p.beta
-    m = a / b
+    m = p.alpha / p.beta
     plain, shifted, gaps, bern_dist, stan_dist = node_table(p, m)
-    contraction = n / (n + b)
-    identity_error = float(np.abs((shifted - m) - contraction * (plain - m)).max())
     crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
     flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, bern_dist, plain, shifted, m)
     return ClusterReport(
         ratio_m=m,
         bernstein_dist=bern_dist,
         stancu_dist=stan_dist,
-        max_gap=float(np.abs(gaps).max()),
         crossing_indices=crossings,
-        contraction=contraction,
-        identity_error=identity_error,
+        contraction=p.n / (p.n + p.beta),
         failing_index=first_failure(flags),
     )
 
@@ -176,19 +169,16 @@ class Theorem3Report(CheckReport):
     """Nesting of two node families sharing the ratio m = alpha/beta.
 
     With beta2 > beta1 the second family sits strictly between the first
-    and m, and strictly closer to m, at every index off m; the distances
-    shrink by the exact factor ``shrink_factor`` = (n + beta1)/(n + beta2).
-    With beta2 = beta1 the two families must be identical.
+    and m, and strictly closer to m, at every index off m. The distances
+    shrink by the exact factor (n + beta1)/(n + beta2), and the families
+    differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)); the
+    tests check both identities. With beta2 = beta1 the two families must
+    be identical.
     """
 
-    params1: StancuParams
-    params2: StancuParams
     ratio_m: float
     dist1: np.ndarray
     dist2: np.ndarray
-    shrink_factor: float
-    difference_identity_error: float
-    distance_identity_error: float
     failing_index: int | None
 
 
@@ -196,7 +186,6 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     """Check nesting for two shift pairs with equal ratio and beta2 >= beta1."""
     if p1.n != p2.n:
         raise ValueError("both parameter sets must share the degree n")
-    n = p1.n
     a1, b1, a2, b2 = p1.alpha, p1.beta, p2.alpha, p2.beta
     if b1 <= 0.0:
         raise ValueError("beta1 must be positive")
@@ -208,13 +197,6 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
     m = m1
     plain, nodes1, _, bern_dist, dist1 = node_table(p1, m)
     _, nodes2, _, _, dist2 = node_table(p2, m)
-    factor = (n + b1) / (n + b2)
-
-    diff_identity = float(
-        np.abs((nodes1 - nodes2) - (n * (b2 - b1) * (plain - m)) / ((n + b1) * (n + b2))).max()
-    )
-    dist_identity = float(np.abs(dist2 - factor * dist1).max())
-
     if b2 > b1:
         off = bern_dist > CROSSING_TOL
         flags = _between(plain, bern_dist, nodes1, nodes2, m) & ((dist2 < dist1) | ~off)
@@ -222,13 +204,8 @@ def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
         # identical ratios with equal beta mean identical families
         flags = nodes1 == nodes2
     return Theorem3Report(
-        params1=p1,
-        params2=p2,
         ratio_m=m,
         dist1=dist1,
         dist2=dist2,
-        shrink_factor=factor,
-        difference_identity_error=diff_identity,
-        distance_identity_error=dist_identity,
         failing_index=first_failure(flags),
     )

@@ -1,5 +1,6 @@
 """CLI surface tests: schemas, exit codes, determinism, output files, closed pipes."""
 
+import dataclasses
 import os
 import stat
 import subprocess
@@ -7,7 +8,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import stancu_lab
@@ -321,47 +321,36 @@ def test_check_t4_names_an_overflowing_scale(capsys):
 
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     import stancu_lab.cli as cli
-    from stancu_lab import ClusterReport, StancuParams, Theorem1Report, Theorem3Report, Theorem4Report
+    from stancu_lab import (
+        FunctionSpec, RatioFamily, check_theorem1, check_theorem2, check_theorem3,
+        theorem4_experiment,
+    )
 
     # each check applies its tolerance once and stores the first failing
-    # entry; the message names that entry
-    fake = Theorem4Report(
-        ratio_m=0.5, f_at_m=0.0, levels=((1.0, 2.0), (10.0, 20.0)),
-        distances=np.array([1.0 + 5e-13, 2.0]), bounds=np.array([1.0, 1.0]),
-        failing_index=1, monotone_decreasing=False,
-    )
-    monkeypatch.setattr(cli, "theorem4_experiment", lambda *a, **k: fake)
+    # entry; the message names that entry. The fakes are real reports with
+    # a failing entry set.
+    def failing(report, index):
+        return lambda *a, **k: dataclasses.replace(report, failing_index=index)
+
+    t4 = theorem4_experiment(FunctionSpec.builtin("sin15"), 10, RatioFamily(1.0, 2.0, (1.0, 10.0)))
+    monkeypatch.setattr(cli, "theorem4_experiment", failing(t4, 1))
     rc, _, err = run(capsys, "check", "t4", "--function", "sin15", "--n", "10",
                      "--alpha", "1", "--beta", "2", "--scales", "1,10")
     assert rc == 1
-    assert "FAIL at level 1" in err
+    assert err == "t4: FAIL at level 1: distance exceeds its bound\n"
 
-    fake1 = Theorem1Report(
-        degrees=(10, 20), max_gaps=np.array([1.0 + 5e-13, 2.0]),
-        bounds=np.array([1.0, 1.0]), failing_index=1,
-    )
-    monkeypatch.setattr(cli, "check_theorem1", lambda *a, **k: fake1)
+    p1, p2 = StancuParams(10, 1.0, 2.0), StancuParams(10, 2.0, 4.0)
+    monkeypatch.setattr(cli, "check_theorem1", failing(check_theorem1(p1, (10, 20)), 1))
     rc, _, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
     assert rc == 1
     assert err == "t1: FAIL at n=20: max_gap exceeds bound\n"
 
-    fake2 = ClusterReport(
-        ratio_m=0.5, bernstein_dist=np.array([0.5, 0.5]),
-        stancu_dist=np.array([0.5 + 5e-16, 0.75]), max_gap=0.0, crossing_indices=(),
-        contraction=10.0 / 12.0, identity_error=0.0, failing_index=1,
-    )
-    monkeypatch.setattr(cli, "check_theorem2", lambda *a, **k: fake2)
+    monkeypatch.setattr(cli, "check_theorem2", failing(check_theorem2(p1), 1))
     rc, _, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
     assert rc == 1
-    assert "FAIL at k=1" in err
+    assert err == "t2: FAIL at k=1\n"
 
-    p1, p2 = StancuParams(10, 1.0, 2.0), StancuParams(10, 2.0, 4.0)
-    fake3 = Theorem3Report(
-        params1=p1, params2=p2, ratio_m=0.5, dist1=np.full(11, 0.5), dist2=np.full(11, 0.5),
-        shrink_factor=12.0 / 14.0, difference_identity_error=0.0, distance_identity_error=0.0,
-        failing_index=3,
-    )
-    monkeypatch.setattr(cli, "check_theorem3", lambda *a, **k: fake3)
+    monkeypatch.setattr(cli, "check_theorem3", failing(check_theorem3(p1, p2), 3))
     rc, out, err = run(capsys, "check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4")
     assert rc == 1
     assert err == "t3: FAIL for pairs (1.0,2.0) -> (2.0,4.0) at k=3\n"
@@ -564,6 +553,22 @@ def test_converge_sin15_improves(capsys):
     _, rows = csv_rows(out)
     sups = [float(r[1]) for r in rows]
     assert sups[2] < sups[1] < sups[0]
+
+
+def test_converge_fails_when_sup_error_exceeds_the_bound(capsys, monkeypatch):
+    import stancu_lab.cli as cli
+
+    argv = ("converge", "--n-list", "50,100", "--alpha", "20", "--beta", "30")
+    _, real, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "corollary2_bound", lambda f, p: 0.0)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert err == "converge: FAIL at n=50: sup_error exceeds corollary2_bound\n"
+    # the table is written before the verdict; only its bound column moved
+    header, rows = csv_rows(out)
+    assert header == csv_rows(real)[0] and len(rows) == 2
+    for row, want in zip(rows, csv_rows(real)[1]):
+        assert row[3] == "0.0" and row[:3] + row[4:] == want[:3] + want[4:]
 
 
 def test_converge_validates_degree_list(capsys):

@@ -1,18 +1,20 @@
 """Node geometry tests: gap identities, contraction, nesting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import (
-    ClusterReport,
+    FunctionSpec,
+    RatioFamily,
     StancuParams,
-    Theorem1Report,
-    Theorem3Report,
     check_theorem1,
     check_theorem2,
     check_theorem3,
+    theorem4_experiment,
 )
 from stancu_lab.nodes import node_table
 
@@ -27,6 +29,23 @@ params_strategy = st.builds(
 def gaps(p):
     """Displacement of every shifted node from its plain counterpart k/n."""
     return p.node_values() - StancuParams(p.n).node_values()
+
+
+def contraction_residual(rep):
+    """Largest |stancu_dist - contraction * bernstein_dist| of a t2 report."""
+    return float(np.abs(rep.stancu_dist - rep.contraction * rep.bernstein_dist).max())
+
+
+def nesting_residuals(p1, p2, rep):
+    """The t3 identities' residuals, with their factor (n + beta1)/(n + beta2):
+    nodes1 - nodes2 = n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)) and
+    dist2 = factor * dist1."""
+    n, b1, b2, m = p1.n, p1.beta, p2.beta, rep.ratio_m
+    plain, nodes1, nodes2 = (q.node_values() for q in (StancuParams(n), p1, p2))
+    factor = (n + b1) / (n + b2)
+    diff = (nodes1 - nodes2) - (n * (b2 - b1) * (plain - m)) / ((n + b1) * (n + b2))
+    dist = rep.dist2 - factor * rep.dist1
+    return float(np.abs(diff).max()), float(np.abs(dist).max()), factor
 
 
 def test_plain_nodes():
@@ -137,7 +156,7 @@ def test_theorem2_contraction(alpha, n):
     rep = check_theorem2(StancuParams(n, alpha, 100.0))
     assert rep.ok and rep.failing_index is None
     assert rep.contraction == n / (n + 100.0)
-    assert rep.identity_error <= 1e-14
+    assert contraction_residual(rep) <= 1e-14
     assert (rep.stancu_dist <= rep.bernstein_dist + 1e-15).all()
 
 
@@ -152,7 +171,10 @@ def test_theorem2_crossing_at_integer_ratio():
 def test_theorem2_distances_scale_exactly():
     rep = check_theorem2(StancuParams(25, 17.0, 100.0))
     np.testing.assert_allclose(rep.stancu_dist, 0.2 * rep.bernstein_dist, rtol=0, atol=1e-15)
-    assert rep.max_gap == pytest.approx(np.abs(0.8 * (np.arange(26) / 25 - 0.17)).max(), abs=1e-14)
+    # every shifted node lies between its plain node and m: its gap is the
+    # difference of the two distances to m
+    max_gap = (rep.bernstein_dist - rep.stancu_dist).max()
+    assert max_gap == pytest.approx(np.abs(0.8 * (np.arange(26) / 25 - 0.17)).max(), abs=1e-14)
 
 
 def test_theorem2_sign_pattern_names_the_first_node_off_m():
@@ -173,7 +195,7 @@ def test_theorem2_requires_positive_beta():
 @settings(max_examples=150, deadline=None)
 def test_theorem2_identity_property(n, b, frac):
     rep = check_theorem2(StancuParams(n, frac * b, b))
-    assert rep.identity_error <= 1e-14
+    assert contraction_residual(rep) <= 1e-14
 
 
 def test_theorem3_fixed_ratio_families():
@@ -184,13 +206,17 @@ def test_theorem3_fixed_ratio_families():
 
     rep = check_theorem3(p_small, p_mid)
     assert rep.ok
-    assert rep.shrink_factor == pytest.approx(110.0 / 200.0, abs=1e-16)
-    assert rep.difference_identity_error <= 1e-13
-    assert rep.distance_identity_error <= 1e-13
+    diff_err, dist_err, factor = nesting_residuals(p_small, p_mid, rep)
+    assert factor == pytest.approx(110.0 / 200.0, abs=1e-16)
+    assert diff_err <= 1e-13
+    assert dist_err <= 1e-13
 
     rep2 = check_theorem3(p_mid, p_big)
     assert rep2.ok
-    assert rep2.shrink_factor == pytest.approx(200.0 / 1100.0, abs=1e-16)
+    diff_err, dist_err, factor = nesting_residuals(p_mid, p_big, rep2)
+    assert factor == pytest.approx(200.0 / 1100.0, abs=1e-16)
+    assert diff_err <= 1e-13
+    assert dist_err <= 1e-13
     off = np.abs(np.arange(n + 1) / n - 0.47) > 1e-12
     assert (rep2.dist2[off] < rep2.dist1[off]).all()
 
@@ -200,7 +226,7 @@ def test_theorem3_identical_families_degenerate():
     rep = check_theorem3(p, p)
     assert rep.ok
     np.testing.assert_array_equal(rep.dist1, rep.dist2)
-    assert rep.difference_identity_error == 0.0
+    assert nesting_residuals(p, p, rep)[:2] == (0.0, 0.0)
 
 
 def test_theorem3_validation():
@@ -221,24 +247,34 @@ def test_theorem3_validation():
 
 def test_failing_index_names_the_first_broken_entry():
     # a report's verdict is its failing_index and nothing else
+    p = StancuParams(10, 1.0, 2.0)
+    reports = (
+        check_theorem1(p, (10, 20, 30)),
+        check_theorem2(p),
+        check_theorem3(p, StancuParams(10, 2.0, 4.0)),
+    )
     for failing, ok in ((2, False), (0, False), (None, True)):
-        t1 = Theorem1Report(
-            degrees=(10, 20, 30), max_gaps=np.zeros(3),
-            bounds=np.array([3 / 12, 3 / 22, 3 / 32]), failing_index=failing,
-        )
-        t2 = ClusterReport(
-            ratio_m=0.0, bernstein_dist=np.full(11, 0.5), stancu_dist=np.full(11, 0.5),
-            max_gap=0.0, crossing_indices=(), contraction=1.0, identity_error=0.0,
-            failing_index=failing,
-        )
-        p = StancuParams(10, 1.0, 2.0)
-        t3 = Theorem3Report(
-            params1=p, params2=p, ratio_m=0.5, dist1=np.zeros(11), dist2=np.zeros(11),
-            shrink_factor=1.0, difference_identity_error=0.0, distance_identity_error=0.0,
-            failing_index=failing,
-        )
-        for report in (t1, t2, t3):
+        for real in reports:
+            report = dataclasses.replace(real, failing_index=failing)
             assert report.ok is ok and report.failing_index == failing
+
+
+def test_reports_are_dataclasses_with_a_verdict():
+    # the benchmark reads ok, failing_index and t4's within_bound, and
+    # digests a report field by field: each report must stay a dataclass
+    p = StancuParams(100, 47.0, 100.0)
+    reports = (
+        check_theorem1(p, (25, 50, 100)),
+        check_theorem2(p),
+        check_theorem3(p, StancuParams(100, 470.0, 1000.0)),
+        theorem4_experiment(FunctionSpec.builtin("sin15"), 50, RatioFamily(1.0, 2.0, (1.0, 10.0))),
+    )
+    for report in reports:
+        assert dataclasses.is_dataclass(report) and not isinstance(report, type)
+        assert report.ok is True and report.failing_index is None
+    t4 = reports[-1]
+    assert t4.within_bound == t4.ok
+    assert dataclasses.replace(t4, failing_index=1).within_bound is False
 
 
 def test_theorem3_names_the_first_node_that_breaks_the_nesting():
