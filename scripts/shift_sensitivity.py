@@ -52,9 +52,10 @@ def print_tables(name: str, n: int) -> None:
 
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0, 10000.0))
     rep = theorem4_experiment(f, n, fam)
-    print(f"\ncollapse onto f(m), m={rep.ratio_m:.4f}, f(m)={rep.f_at_m:.6f}")
+    m = fam.ratio_m
+    print(f"\ncollapse onto f(m), m={m:.4f}, f(m)={float(f(m)):.6f}")
     print(f"{'alpha':>10} {'beta':>10} {'distance':>12} {'bound':>12}")
-    for (a, b), d, bd in zip(rep.levels, rep.distances, rep.bounds):
+    for _, a, b, d, bd in zip(*rep.columns):  # level,alpha,beta,distance,bound
         print(f"{a:10.1f} {b:10.1f} {d:12.6f} {bd:12.6f}")
     print(f"within bound at every level: {rep.ok}")
 

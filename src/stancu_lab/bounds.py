@@ -17,9 +17,10 @@ two-term upper estimate
 
     omega(f; (alpha + beta)/(n + beta)) + C1 * omega(f; n**-0.5)
 
-that must dominate the measured sup-error, and the fixed-degree
-growing-beta experiment in which the operator collapses onto the single
-value f(alpha/beta).
+that must dominate the measured sup-error (``check_corollary2``), and the
+fixed-degree growing-beta experiment in which the operator collapses onto
+the single value f(alpha/beta) (``theorem4_experiment``). Both return the
+``nodes.CheckReport`` every check returns.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nodes import CheckReport, first_failure, same_ratio
+from .nodes import CheckReport, decide, same_ratio
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = [
     "DEFAULT_CONFIG",
     "RatioFamily",
-    "Theorem4Report",
+    "check_corollary2",
     "corollary2_bound",
     "grid_slack",
     "modulus_of_continuity",
@@ -203,37 +204,19 @@ class RatioFamily:
         return [(s * self.alpha0, s * self.beta0) for s in self.scale_factors]
 
 
-@dataclass(frozen=True, eq=False)
-class Theorem4Report(CheckReport):
-    """Per-level distance of the operator from the single value f(m).
+def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily,
+                        epsilon: float | None = None) -> CheckReport:
+    """Run the fixed-degree, growing-beta collapse experiment.
 
-    ``distances[j]`` is the grid sup of |operator - f(m)| at level j;
-    every node lies within 2n/(n + beta_j) of m, so each distance is
-    bounded by omega(f; 2n/(n + beta_j)) plus grid slack, and the
-    distances tend to 0 as the scale factors grow. They need NOT fall at
-    every level, and the tests check a case that rises: compressing the
-    nodes can deepen the smoothed oscillation before the collapse wins.
+    Row j of the table is level j: its pair, the grid sup of
+    |operator - f(m)| and that distance's bound. Every node lies within
+    2n/(n + beta_j) of m, so each distance is bounded by
+    omega(f; 2n/(n + beta_j)) plus grid slack, and the distances tend to 0
+    as the scale factors grow. They need NOT fall at every level, and the
+    tests check a case that rises: compressing the nodes can deepen the
+    smoothed oscillation before the collapse wins. With ``epsilon``, the
+    last distance must also lie below it.
     """
-
-    ratio_m: float
-    f_at_m: float
-    levels: tuple[tuple[float, float], ...]
-    distances: np.ndarray
-    bounds: np.ndarray
-    failing_index: int | None
-
-    @property
-    def within_bound(self) -> bool:
-        """``ok`` under its older name, which the benchmark workloads still read."""
-        return self.ok
-
-    @property
-    def final_distance(self) -> float:
-        return float(self.distances[-1])
-
-
-def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily) -> Theorem4Report:
-    """Run the fixed-degree, growing-beta collapse experiment."""
     levels = tuple(fam.levels())
     ps = tuple(StancuParams(n, a, b) for a, b in levels)
     m = fam.ratio_m
@@ -243,11 +226,32 @@ def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily) -> Theorem4Re
     grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
     d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
     bounds = np.array([omega + slack for omega in omegas])
-    return Theorem4Report(
-        ratio_m=m,
-        f_at_m=f_at_m,
-        levels=levels,
-        distances=d,
-        bounds=bounds,
-        failing_index=first_failure(d <= bounds + NOISE_FLOOR),
-    )
+    within = d <= bounds + NOISE_FLOOR
+    final = float(d[-1])
+    flags = within.copy()
+    flags[-1] &= epsilon is None or final < epsilon
+
+    def fail(i: int) -> str:
+        if within[i]:
+            return f"t4: FAIL: final distance {final!r} not below epsilon {epsilon!r}"
+        return f"t4: FAIL at level {i}: distance exceeds its bound"
+
+    columns = (range(len(levels)), *zip(*levels), d, bounds)
+    ok = f"t4: OK (final distance {final!r} at f(m)={f_at_m!r})"
+    return decide("level,alpha,beta,distance,bound", columns, flags, ok, fail)
+
+
+def check_corollary2(f: FunctionSpec, ps) -> CheckReport:
+    """Check that the two-term estimate dominates the measured sup-error, to 1e-9,
+    at each operator of ``ps``; the check prints no OK line.
+
+    Row j of the table holds the degree of ps[j], its sup-error, its
+    distance to the plain operator, the two-term bound and its node
+    displacement bound.
+    """
+    rows = [(*sup_error_and_distance(f, p), corollary2_bound(f, p), p.displacement_bound())
+            for p in ps]
+    flags = np.array([sup <= bound + 1e-9 for sup, _, bound, _ in rows])
+    return decide("n,sup_error,operator_distance,corollary2_bound,t1_bound",
+                  (tuple(p.n for p in ps), *zip(*rows)), flags, None,
+                  lambda i: f"converge: FAIL at n={ps[i].n}: sup_error exceeds corollary2_bound")

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import stat
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .bounds import RatioFamily, corollary2_bound, sup_error_and_distance, theorem4_experiment
-from .figures import (FIGURES, NODE_HEADER, build_figure, csv_rows, curve_table, fmt, node_rows,
-                      with_overrides)
-from .nodes import check_theorem1, check_theorem2, check_theorem3, node_table
+from .bounds import RatioFamily, check_corollary2, theorem4_experiment
+from .figures import FIGURES, build_figure, csv_rows, curve_table, node_rows, with_overrides
+from .nodes import NODE_HEADER, check_theorem1, check_theorem2, check_theorem3
 from .operators import BUILTIN_FUNCTIONS, FunctionSpec, StancuParams, _as_unit_interval, uniform_grid
 
 __all__ = ["main"]
@@ -46,15 +46,20 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
+def _put(write, chunks: Iterable[str]) -> None:
+    """Hand each text chunk's UTF-8 bytes to ``write`` until it has taken them all."""
+    for chunk in chunks:
+        data = memoryview(chunk.encode())
+        while data:  # a pipe, a signal or a raw stream may take fewer bytes than asked
+            data = data[write(data):]
+
+
 def _write(path, chunks: Iterable[str]) -> None:
     """Write text chunks to the file ``path`` as UTF-8, each as it comes, in place: no
     O_TRUNC (ext4 writes a truncated file back at close), and a regular file is cut last."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        for chunk in chunks:
-            data = memoryview(chunk.encode())
-            while data:  # a pipe or a signal may take fewer bytes than asked
-                data = data[os.write(fd, data):]
+        _put(functools.partial(os.write, fd), chunks)
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):  # only a file has a tail
@@ -68,7 +73,11 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     try:
         if out is not None:
             return _write(out, chunks)
-        sys.stdout.writelines(chunks)
+        raw = getattr(sys.stdout, "buffer", None)  # a StringIO has none
+        if isinstance(raw, io.RawIOBase):  # unbuffered: TextIOWrapper drops a short write's tail
+            _put(raw.write, chunks)
+        else:
+            sys.stdout.writelines(chunks)
         sys.stdout.flush()  # status lines too: a closed stdout fails here, not at exit
     except OSError as exc:
         if out is None:
@@ -120,64 +129,39 @@ def cmd_nodes(args) -> None:
     _emit([f"{NODE_HEADER}\n", node_rows(p)], args.out)
 
 
-def _check_t1(args) -> str:
+def _report(report, out) -> str | None:
+    """Write a check's table, then return its status line, or raise it if the check failed."""
+    _emit([report.header + "\n", csv_rows(report.columns)], out)
+    if not report.ok:
+        raise _Fail(report.status)
+    return report.status
+
+
+def _check_t1(args) -> str | None:
     degrees = [args.n] if args.n is not None else _parse_list(args.n_list, int)
     if not degrees:
         raise ValueError("--n-list must hold at least one degree")
-    report = check_theorem1(StancuParams(max(degrees), args.alpha, args.beta), degrees)
-    cols = [report.degrees, report.max_gaps, report.bounds]
-    _emit(["n,max_gap,bound\n", csv_rows(cols)], args.out)
-    if not report.ok:
-        n = report.degrees[report.failing_index]
-        raise _Fail(f"t1: FAIL at n={n}: max_gap exceeds bound")
-    return "t1: OK"
+    p = StancuParams(max(degrees), args.alpha, args.beta)
+    return _report(check_theorem1(p, degrees), args.out)
 
 
-def _check_t2(args) -> str:
-    p = StancuParams(args.n, args.alpha, args.beta)
-    report = check_theorem2(p)
-    _emit([f"{NODE_HEADER}\n", node_rows(p)], args.out)
-    if not report.ok:
-        raise _Fail(f"t2: FAIL at k={report.failing_index}")
-    crossings = ",".join(str(k) for k in report.crossing_indices) or "none"
-    return f"t2: OK (contraction {fmt(report.contraction)}, crossings at k={crossings})"
+def _check_t2(args) -> str | None:
+    return _report(check_theorem2(StancuParams(args.n, args.alpha, args.beta)), args.out)
 
 
-def _check_t3(args) -> str:
+def _check_t3(args) -> str | None:
     if len(args.pair) < 2:
         raise ValueError("t3 needs at least two --pair alpha,beta")
     params = [StancuParams(args.n, *_parse_pair(raw)) for raw in args.pair]
-    # every pair is validated before anything is written
-    reports = [check_theorem3(p1, p2) for p1, p2 in zip(params, params[1:])]
-    m = reports[0].ratio_m
-    cols = [range(args.n + 1)]
-    for q in params:
-        _, nodes, _, _, dist = node_table(q, m)
-        cols += [nodes, dist]
-    header = "k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))
-    _emit([header + "\n", csv_rows(cols)], args.out)
-    for p1, p2, report in zip(params, params[1:], reports):
-        if not report.ok:
-            raise _Fail(f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) "
-                        f"at k={report.failing_index}")
-    return f"t3: OK (m={fmt(m)})"
+    return _report(check_theorem3(*params), args.out)
 
 
-def _check_t4(args) -> str:
+def _check_t4(args) -> str | None:
     if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
         raise ValueError("--epsilon must be positive and finite")
     f = FunctionSpec.builtin(args.function)
-    scales = _parse_list(args.scales, float)
-    fam = RatioFamily(args.alpha, args.beta, tuple(scales))
-    report = theorem4_experiment(f, args.n, fam)
-    cols = [range(len(report.levels)), *zip(*report.levels), report.distances, report.bounds]
-    _emit(["level,alpha,beta,distance,bound\n", csv_rows(cols)], args.out)
-    if not report.ok:
-        raise _Fail(f"t4: FAIL at level {report.failing_index}: distance exceeds its bound")
-    if args.epsilon is not None and not report.final_distance < args.epsilon:
-        raise _Fail(f"t4: FAIL: final distance {fmt(report.final_distance)} not below "
-                    f"epsilon {fmt(args.epsilon)}")
-    return f"t4: OK (final distance {fmt(report.final_distance)} at f(m)={fmt(report.f_at_m)})"
+    fam = RatioFamily(args.alpha, args.beta, tuple(_parse_list(args.scales, float)))
+    return _report(theorem4_experiment(f, args.n, fam, args.epsilon), args.out)
 
 
 def cmd_figure(args) -> str:
@@ -200,20 +184,13 @@ def cmd_figure(args) -> str:
     return f"{csv_path}\n{svg_path}"
 
 
-def cmd_converge(args) -> None:
+def cmd_converge(args) -> str | None:
     f = FunctionSpec.builtin(args.function)
     degrees = _parse_list(args.n_list, int)
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("--n-list must be non-empty and strictly increasing")
-    rows = []
-    for n in degrees:
-        p = StancuParams(n, args.alpha, args.beta)
-        rows.append((*sup_error_and_distance(f, p), corollary2_bound(f, p), p.displacement_bound()))
-    header = "n,sup_error,operator_distance,corollary2_bound,t1_bound\n"
-    _emit([header, csv_rows([degrees, *zip(*rows)])], args.out)
-    for n, (sup, _, bound, _) in zip(degrees, rows):
-        if sup > bound + 1e-9:
-            raise _Fail(f"converge: FAIL at n={n}: sup_error exceeds corollary2_bound")
+    ps = [StancuParams(n, args.alpha, args.beta) for n in degrees]
+    return _report(check_corollary2(f, ps), args.out)
 
 
 # The flags several subcommands share, each declared once.

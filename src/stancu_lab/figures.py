@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 
 from . import svg
-from .nodes import node_table
+from .nodes import NODE_HEADER, node_table
 from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
 
 __all__ = ["FIGURES", "FigureJob", "build_figure"]
@@ -56,11 +56,6 @@ FIGURES: dict[str, FigureJob] = {
 
 _CURVE_COLORS = ["red", "blue", "magenta", "black", "green"]
 _NODE_COLORS = ["blue", "red", "magenta", "black"]
-
-
-def fmt(v: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(v))
 
 
 def csv_rows(cols) -> str:
@@ -132,15 +127,12 @@ def node_rows(p: StancuParams) -> str:
     return _node_csv_rows(_node_table(p))
 
 
-NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
-
-
 def _nodes_csv(job: FigureJob, blocks: list) -> str:
     if len(job.pairs) == 1:
         return f"{NODE_HEADER}\n{_node_csv_rows(blocks[0])}"
     text = f"alpha,beta,{NODE_HEADER}\n"
     for (a, b), table in zip(job.pairs, blocks):
-        prefix = f"{fmt(a)},{fmt(b)},"
+        prefix = f"{float(a)!r},{float(b)!r},"
         text += prefix + _node_csv_rows(table)[:-1].replace("\n", "\n" + prefix) + "\n"
     return text
 

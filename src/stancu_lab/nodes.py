@@ -14,13 +14,14 @@ geometric facts about those two point sets into plain per-index data:
   around m, with distance ratio (n + beta1)/(n + beta2)
   (``check_theorem3``).
 
-Every check, node CSV and node figure reads ``node_table``: both node
-families, their gaps and, given m, their distances to m.
+The t1 and t2 checks, the node CSV and the node figures read
+``node_table``: both node families, their gaps and, given m, their
+distances to m.
 
-Reports are data, not prose; harnesses assert on their fields. Each check
-computes one per-entry flag array, applying its tolerance there and only
-there, and stores the first entry that breaks it as ``failing_index``
-(None when every entry holds); ``CheckReport.ok`` is ``failing_index is None``.
+Every check, here and in ``bounds``, returns one ``CheckReport``: the CSV
+table it decided, the first entry that breaks its claim and its status
+line. ``decide`` builds it from one per-entry flag array, where the check
+applies its tolerance and nowhere else.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ import numpy as np
 from .operators import StancuParams
 
 __all__ = [
-    "ClusterReport",
-    "Theorem1Report",
-    "Theorem3Report",
+    "CheckReport",
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
@@ -52,6 +51,8 @@ GAP_CUSHION = 1e-12
 # t2 cushion: a node at m has both distances 0, each a few ulps off in float
 DIST_CUSHION = 1e-15
 
+NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
+
 
 def node_table(p: StancuParams, m: float | None = None) -> tuple[np.ndarray, ...]:
     """(k/n, (k + alpha)/(n + beta), their gap) over k = 0..n, and, when ``m``
@@ -68,9 +69,31 @@ def same_ratio(m1: float, m2: float) -> bool:
     return abs(m1 - m2) <= 1e-12 * max(1.0, abs(m1))
 
 
-def first_failure(flags: np.ndarray) -> int | None:
-    """Index of the first False entry of a per-entry flag array, or None."""
-    return None if flags.all() else int(np.argmin(flags))
+@dataclass(frozen=True, eq=False)
+class CheckReport:
+    """What a check decided: the CSV table it writes (``header`` and
+    ``columns``, an int column first), the first entry of its flag array that
+    breaks the claim (``failing_index``, None when every entry holds) and its
+    status line: the FAIL line when an entry breaks, else the OK line, None
+    where the check prints none."""
+
+    header: str
+    columns: tuple
+    failing_index: int | None
+    status: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.failing_index is None
+
+    within_bound = ok  # t4's older name for the verdict; the benchmark reads it
+
+
+def decide(header: str, columns, flags: np.ndarray, ok: str | None, fail) -> CheckReport:
+    """The report of a check whose per-entry ``flags`` are True where its claim
+    holds; ``fail(i)`` is the FAIL line of the first entry i that breaks it."""
+    i = None if flags.all() else int(np.argmin(flags))
+    return CheckReport(header, tuple(columns), i, ok if i is None else fail(i))
 
 
 def _between(plain, bern_dist, outer, inner, m) -> np.ndarray:
@@ -80,36 +103,18 @@ def _between(plain, bern_dist, outer, inner, m) -> np.ndarray:
     return inside | (bern_dist <= CROSSING_TOL)
 
 
-class CheckReport:
-    """The verdict every check report shares; the report stores ``failing_index``."""
-
-    @property
-    def ok(self) -> bool:
-        return self.failing_index is None
-
-
-@dataclass(frozen=True, eq=False)
-class Theorem1Report(CheckReport):
-    """Per-degree maximal node displacement against the (alpha+beta)/(n+beta) bound.
-
-    Only the gaps are checked. The bounds need no verdict of their own:
-    ``check_theorem1`` rejects degree sequences that do not strictly
-    increase, and along such a sequence the exact (alpha+beta)/(n+beta)
-    strictly falls, or is 0 throughout when alpha + beta = 0. For large
-    beta the float bounds of neighbouring degrees may still print alike.
-    """
-
-    degrees: tuple[int, ...]
-    max_gaps: np.ndarray
-    bounds: np.ndarray
-    failing_index: int | None
-
-
-def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
+def check_theorem1(p: StancuParams, n_sequence) -> CheckReport:
     """Check the even-distribution claim along a strictly increasing degree sweep.
 
     ``p`` supplies the shift parameters; its own degree is replaced by each
-    entry of ``n_sequence`` in turn.
+    entry of ``n_sequence`` in turn. The table holds each degree's maximal
+    node displacement and its (alpha+beta)/(n+beta) bound.
+
+    Only the gaps are checked. The bounds need no verdict of their own:
+    the degrees must strictly increase, and along such a sequence the exact
+    (alpha+beta)/(n+beta) strictly falls, or is 0 throughout when
+    alpha + beta = 0. For large beta the float bounds of neighbouring
+    degrees may still print alike.
     """
     params = [StancuParams(n, p.alpha, p.beta) for n in n_sequence]
     degrees = tuple(q.n for q in params)
@@ -119,54 +124,33 @@ def check_theorem1(p: StancuParams, n_sequence) -> Theorem1Report:
         raise ValueError("n_sequence must be strictly increasing")
     max_gaps = np.array([np.abs(node_table(q)[2]).max() for q in params])
     bounds = np.array([q.displacement_bound() for q in params])
-    return Theorem1Report(
-        degrees=degrees,
-        max_gaps=max_gaps,
-        bounds=bounds,
-        failing_index=first_failure(max_gaps <= bounds + GAP_CUSHION),
-    )
+    return decide("n,max_gap,bound", (degrees, max_gaps, bounds), max_gaps <= bounds + GAP_CUSHION,
+                  "t1: OK", lambda i: f"t1: FAIL at n={degrees[i]}: max_gap exceeds bound")
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterReport(CheckReport):
-    """How the shifted nodes sit around the ratio m = alpha/beta.
+def check_theorem2(p: StancuParams) -> CheckReport:
+    """Check the contraction of the shifted nodes toward m = alpha/beta (beta > 0).
 
-    ``stancu_dist`` equals ``contraction * bernstein_dist`` up to float
-    rounding, and the two node families coincide exactly at the
-    ``crossing_indices``; the tests check both. A node fails when it is
-    farther from m than its plain node, or when, off m, it does not lie
-    strictly between its plain node and m.
+    The table is the ``nodes`` one. The shifted distances equal n/(n + beta)
+    times the plain ones up to float rounding, and the two node families
+    coincide exactly at the crossings the OK line names; the tests check
+    both. A node fails when it is farther from m than its plain node, or
+    when, off m, it does not lie strictly between its plain node and m.
     """
-
-    ratio_m: float
-    bernstein_dist: np.ndarray
-    stancu_dist: np.ndarray
-    crossing_indices: tuple[int, ...]
-    contraction: float
-    failing_index: int | None
-
-
-def check_theorem2(p: StancuParams) -> ClusterReport:
-    """Check the contraction of the shifted nodes toward m = alpha/beta (beta > 0)."""
     if p.beta <= 0.0:
         raise ValueError("beta must be positive: the ratio alpha/beta is undefined at 0")
     m = p.alpha / p.beta
-    plain, shifted, gaps, bern_dist, stan_dist = node_table(p, m)
-    crossings = tuple(int(k) for k in np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))
+    table = node_table(p, m)
+    plain, shifted, gaps, bern_dist, stan_dist = table
+    crossings = ",".join(map(str, np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))) or "none"
     flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, bern_dist, plain, shifted, m)
-    return ClusterReport(
-        ratio_m=m,
-        bernstein_dist=bern_dist,
-        stancu_dist=stan_dist,
-        crossing_indices=crossings,
-        contraction=p.n / (p.n + p.beta),
-        failing_index=first_failure(flags),
-    )
+    ok = f"t2: OK (contraction {p.n / (p.n + p.beta)!r}, crossings at k={crossings})"
+    return decide(NODE_HEADER, (range(p.n + 1), *table), flags, ok, "t2: FAIL at k={}".format)
 
 
-@dataclass(frozen=True, eq=False)
-class Theorem3Report(CheckReport):
-    """Nesting of two node families sharing the ratio m = alpha/beta.
+def check_theorem3(*params: StancuParams) -> CheckReport:
+    """Check nesting along a chain of shift pairs, each with the next: the
+    ratios alpha/beta agree and alpha and beta do not fall.
 
     With beta2 > beta1 the second family sits strictly between the first
     and m, and strictly closer to m, at every index off m. The distances
@@ -174,38 +158,42 @@ class Theorem3Report(CheckReport):
     differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)); the
     tests check both identities. With beta2 = beta1 the two families must
     be identical.
+
+    Every pair is validated before any node is compared. The table holds
+    each family and its distance to the first pair's m; each link is
+    decided at its own first pair's m, so flag entry j is node
+    j % (n + 1) of link j // (n + 1).
     """
+    if len(params) < 2:
+        raise ValueError("need at least two parameter sets")
+    links = list(zip(params, params[1:]))
+    for p1, p2 in links:
+        if p1.n != p2.n:
+            raise ValueError("both parameter sets must share the degree n")
+        a1, b1, a2, b2 = p1.alpha, p1.beta, p2.alpha, p2.beta
+        if b1 <= 0.0:
+            raise ValueError("beta1 must be positive")
+        if a1 > a2 or b1 > b2:
+            raise ValueError("need alpha1 <= alpha2 and beta1 <= beta2")
+        if not same_ratio(a1 / b1, a2 / b2):
+            raise ValueError(f"ratio mismatch: {a1 / b1!r} vs {a2 / b2!r}")
+    n = params[0].n
+    plain, *nodes = (q.node_values() for q in (StancuParams(n), *params))
+    flags = []
+    for (p1, p2), nodes1, nodes2 in zip(links, nodes, nodes[1:]):
+        m1 = p1.alpha / p1.beta
+        bern_dist = np.abs(plain - m1)
+        if p2.beta > p1.beta:
+            nearer = (np.abs(nodes2 - m1) < np.abs(nodes1 - m1)) | (bern_dist <= CROSSING_TOL)
+            flags.append(_between(plain, bern_dist, nodes1, nodes2, m1) & nearer)
+        else:  # identical ratios with equal beta mean identical families
+            flags.append(nodes1 == nodes2)
 
-    ratio_m: float
-    dist1: np.ndarray
-    dist2: np.ndarray
-    failing_index: int | None
+    def fail(j: int) -> str:
+        (p1, p2), k = links[j // (n + 1)], j % (n + 1)
+        return f"t3: FAIL for pairs ({p1.alpha},{p1.beta}) -> ({p2.alpha},{p2.beta}) at k={k}"
 
-
-def check_theorem3(p1: StancuParams, p2: StancuParams) -> Theorem3Report:
-    """Check nesting for two shift pairs with equal ratio and beta2 >= beta1."""
-    if p1.n != p2.n:
-        raise ValueError("both parameter sets must share the degree n")
-    a1, b1, a2, b2 = p1.alpha, p1.beta, p2.alpha, p2.beta
-    if b1 <= 0.0:
-        raise ValueError("beta1 must be positive")
-    if a1 > a2 or b1 > b2:
-        raise ValueError("need alpha1 <= alpha2 and beta1 <= beta2")
-    m1, m2 = a1 / b1, a2 / b2
-    if not same_ratio(m1, m2):
-        raise ValueError(f"ratio mismatch: {m1!r} vs {m2!r}")
-    m = m1
-    plain, nodes1, _, bern_dist, dist1 = node_table(p1, m)
-    _, nodes2, _, _, dist2 = node_table(p2, m)
-    if b2 > b1:
-        off = bern_dist > CROSSING_TOL
-        flags = _between(plain, bern_dist, nodes1, nodes2, m) & ((dist2 < dist1) | ~off)
-    else:
-        # identical ratios with equal beta mean identical families
-        flags = nodes1 == nodes2
-    return Theorem3Report(
-        ratio_m=m,
-        dist1=dist1,
-        dist2=dist2,
-        failing_index=first_failure(flags),
-    )
+    m = params[0].alpha / params[0].beta
+    header = "k," + ",".join(f"node_{i},dist_{i}" for i in range(len(params)))
+    columns = [range(n + 1)] + [c for v in nodes for c in (v, np.abs(v - m))]
+    return decide(header, columns, np.array(flags), f"t3: OK (m={m!r})", fail)

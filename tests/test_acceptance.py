@@ -99,12 +99,12 @@ def test_criterion_03_node_displacement_bound():
     degrees = [25, 50, 100, 250]
     ok = True
     for a, b in ((20.0, 30.0), (17.0, 100.0), (77.0, 100.0)):
-        rep = check_theorem1(StancuParams(250, a, b), degrees)
-        ok &= bool((rep.max_gaps <= rep.bounds).all())
-        for n, bound in zip(degrees, rep.bounds):
+        _, max_gaps, bounds = check_theorem1(StancuParams(250, a, b), degrees).columns
+        ok &= bool((max_gaps <= bounds).all())
+        for n, bound in zip(degrees, bounds):
             ok &= abs(bound - (a + b) / (n + b)) <= 1e-15
-    rep = check_theorem1(StancuParams(250, 20.0, 30.0), degrees)
-    ok &= abs(rep.bounds[-1] - 50.0 / 280.0) <= 1e-15
+    _, _, bounds = check_theorem1(StancuParams(250, 20.0, 30.0), degrees).columns
+    ok &= abs(bounds[-1] - 50.0 / 280.0) <= 1e-15
     report(3, "node displacement bound", ok)
     assert ok
 
@@ -114,12 +114,12 @@ def test_criterion_04_contraction_identity():
     worst = 0.0
     for n in (25, 100):
         for a in (17.0, 47.0, 77.0):
-            rep = check_theorem2(StancuParams(n, a, 100.0))
-            err = float(np.abs(rep.stancu_dist - rep.contraction * rep.bernstein_dist).max())
+            *_, bern_dist, stan_dist = check_theorem2(StancuParams(n, a, 100.0)).columns
+            err = float(np.abs(stan_dist - n / (n + 100.0) * bern_dist).max())
             worst = max(worst, err)
             ok &= err <= 1e-14
     rep = check_theorem2(StancuParams(100, 47.0, 100.0))
-    ok &= rep.crossing_indices == (47,)
+    ok &= rep.status == "t2: OK (contraction 0.5, crossings at k=47)"
     report(4, "contraction identity and crossing", ok, f"worst identity error = {worst:.3e}")
     assert ok
 
@@ -131,13 +131,13 @@ def test_criterion_05_nested_clustering():
     ok = True
     worst = 0.0
     for p1, p2 in zip(triples, triples[1:]):
-        rep = check_theorem3(p1, p2)
+        _, _, dist1, _, dist2 = check_theorem3(p1, p2).columns
         factor = (n + p1.beta) / (n + p2.beta)
-        err = float(np.abs(rep.dist2 - factor * rep.dist1).max())
+        err = float(np.abs(dist2 - factor * dist1).max())
         worst = max(worst, err)
         ok &= err <= 1e-13
-        off = np.abs(np.arange(n + 1) / n - rep.ratio_m) > 1e-12
-        ok &= bool((rep.dist2[off] < rep.dist1[off]).all())
+        off = np.abs(np.arange(n + 1) / n - p1.alpha / p1.beta) > 1e-12
+        ok &= bool((dist2[off] < dist1[off]).all())
     report(5, "nested clustering at fixed ratio", ok, f"worst identity error = {worst:.3e}")
     assert ok
 
@@ -244,34 +244,36 @@ def test_criterion_10_fixed_degree_collapse():
     f = E["sin15"]
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
     rep = theorem4_experiment(f, n, fam)
+    _, alphas, betas, distances, bounds = rep.columns
     # The dominating sequence collapses: the modulus arguments 2n/(n + beta_j)
     # fall strictly toward 0, so the bounds omega(f; .) + slack never rise
     # and end below where they start. They cannot fall strictly at every
     # level: the first two arguments (1.82, 1.0) both cover [0, 1], where
     # omega is the global oscillation.
-    args = [2.0 * n / (n + b) for _, b in rep.levels]
+    args = [2.0 * n / (n + b) for b in betas]
     ok_args = all(b < a for a, b in zip(args, args[1:]))
-    ok_bounds = bool((np.diff(rep.bounds) <= 0.0).all()) and rep.bounds[-1] < rep.bounds[0]
+    ok_bounds = bool((np.diff(bounds) <= 0.0).all()) and bounds[-1] < bounds[0]
     # At x = 1 the basis is a unit vector, so the operator returns f(t_n)
     # exactly and d_final >= |f(t_n) - f(m)| = 0.0545 at these scales:
     # no correct evaluation brings it below 0.05.
-    t_nodes = StancuParams(n, *rep.levels[-1]).node_values()
-    endpoint = abs(float(f(t_nodes)[-1]) - rep.f_at_m)
-    ok_endpoint = rep.final_distance >= endpoint
-    monotone = bool((np.diff(rep.distances) < 0.0).all())
+    t_nodes = StancuParams(n, alphas[-1], betas[-1]).node_values()
+    endpoint = abs(float(f(t_nodes)[-1]) - float(f(fam.ratio_m)))
+    final = distances[-1]
+    ok_endpoint = final >= endpoint
+    monotone = bool((np.diff(distances) < 0.0).all())
     ok = rep.ok and ok_args and ok_bounds and ok_endpoint
-    pairs = ", ".join(f"{d:.4g}<={b:.4g}" for d, b in zip(rep.distances, rep.bounds))
+    pairs = ", ".join(f"{d:.4g}<={b:.4g}" for d, b in zip(distances, bounds))
     report(
         10,
         "fixed-degree collapse onto f(m)",
         ok,
         f"d<=bound: {pairs}; monotone {'yes' if monotone else 'no'}; "
-        f"final {rep.final_distance:.4g} >= endpoint gap {endpoint:.4g}",
+        f"final {final:.4g} >= endpoint gap {endpoint:.4g}",
     )
-    assert rep.ok, f"a level exceeds its bound: {rep.distances} vs {rep.bounds}"
+    assert rep.ok, f"a level exceeds its bound: {distances} vs {bounds}"
     assert ok_args, f"modulus arguments do not shrink: {args}"
-    assert ok_bounds, f"bounds do not collapse: {rep.bounds}"
-    assert ok_endpoint, f"final distance {rep.final_distance} below endpoint gap {endpoint}"
+    assert ok_bounds, f"bounds do not collapse: {bounds}"
+    assert ok_endpoint, f"final distance {final} below endpoint gap {endpoint}"
 
 
 def test_criterion_11_figure_determinism():

@@ -33,6 +33,7 @@ from stancu_lab import (
     FunctionSpec,
     RatioFamily,
     StancuParams,
+    check_corollary2,
     corollary2_bound,
     evaluate,
     grid_slack,
@@ -298,7 +299,7 @@ def test_bounds_sample_f_once_on_the_modulus_grid():
     rep = theorem4_experiment(f, 100, fam)
     want = [modulus_of_continuity(SIN15, 200.0 / (100 + b)) + grid_slack(SIN15)
             for _, b in fam.levels()]
-    assert f.calls[mod] == 1 and rep.bounds.tolist() == want
+    assert f.calls[mod] == 1 and rep.columns[4].tolist() == want
     assert [sup_error(f, q) for q in (p, StancuParams(7))] == [
         sup_error(SIN15, q) for q in (p, StancuParams(7))]
     assert sup_error_and_distance(f, p) == sup_error_and_distance(SIN15, p)
@@ -344,40 +345,85 @@ def test_derive_c_nonincreasing_in_beta_when_alpha_dominates_degree():
 # ----------------------------------------- fixed-degree collapse onto f(m)
 
 
+def t4_columns(rep):
+    """A t4 report's per-level distance and bound columns."""
+    _, _, _, distances, bounds = rep.columns
+    return distances, bounds
+
+
 def test_collapse_experiment_constant_function():
     fam = RatioFamily(1.0, 2.0, (1.0, 10.0, 100.0))
     rep = theorem4_experiment(E0, 50, fam)
+    distances, bounds = t4_columns(rep)
     # bound 0 at every level, distances a few 1e-15 of rounding: only
     # NOISE_FLOOR lets the check pass
-    assert (rep.bounds == 0.0).all() and (rep.distances > 0.0).all()
+    assert (bounds == 0.0).all() and (distances > 0.0).all()
     assert rep.ok and rep.within_bound and rep.failing_index is None
-    assert rep.distances.max() <= 1e-12
+    assert distances.max() <= 1e-12
 
 
 def test_collapse_experiment_linear_single_level():
     # only level (470, 1000): max_x |x + (470 - 1000 x)/1100 - 0.47| = 53/1100 at x = 1
     fam = RatioFamily(4.7, 10.0, (100.0,))
     rep = theorem4_experiment(E1, 100, fam)
-    assert rep.final_distance == pytest.approx(53.0 / 1100.0, abs=1e-12)
+    assert rep.header == "level,alpha,beta,distance,bound"
+    assert rep.columns[:3] == (range(1), (470.0,), (1000.0,))
+    assert t4_columns(rep)[0][-1] == pytest.approx(53.0 / 1100.0, abs=1e-12)
 
 
 def test_collapse_experiment_sin15_levels_match_oracle():
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
     rep = theorem4_experiment(SIN15, 100, fam)
     assert rep.ok and rep.failing_index is None
-    np.testing.assert_allclose(rep.distances, T4_LEVEL_DISTANCES, rtol=1e-9)
+    distances, _ = t4_columns(rep)
+    np.testing.assert_allclose(distances, T4_LEVEL_DISTANCES, rtol=1e-9)
     # compressing nodes transiently deepens the smoothed oscillation: the
     # level distances are NOT monotone here (second exceeds first)
-    assert not (np.diff(rep.distances) < 0.0).all()
-    assert rep.distances[1] > rep.distances[0]
+    assert not (np.diff(distances) < 0.0).all()
+    assert distances[1] > distances[0]
 
 
 def test_collapse_experiment_reaches_the_limit():
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0, 10000.0))
     rep = theorem4_experiment(SIN15, 100, fam)
     assert rep.ok
-    assert rep.final_distance == pytest.approx(0.0056973273455782625, rel=1e-9)
-    assert rep.final_distance < 0.01
+    final = t4_columns(rep)[0][-1]
+    assert final == pytest.approx(0.0056973273455782625, rel=1e-9)
+    assert final < 0.01
+
+
+def test_collapse_epsilon_fails_only_the_last_level():
+    # the levels keep their bounds; a target the last distance does not
+    # reach fails that level with the epsilon line, and a bound failure
+    # would have come first
+    fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0, 1000.0))
+    rep = theorem4_experiment(SIN15, 100, fam)
+    final = float(t4_columns(rep)[0][-1])
+    for epsilon in (final, 0.01):
+        failed = theorem4_experiment(SIN15, 100, fam, epsilon)
+        assert failed.failing_index == 3 and not failed.within_bound
+        assert failed.status == f"t4: FAIL: final distance {final!r} not below epsilon {epsilon!r}"
+        assert failed.header == rep.header
+        for got, want in zip(failed.columns, rep.columns, strict=True):
+            assert list(got) == list(want)
+    passed = theorem4_experiment(SIN15, 100, fam, np.nextafter(final, 1.0))
+    assert passed.ok and passed.status == rep.status
+
+
+# ------------------------------------------------ the two-term bound check
+
+
+def test_corollary2_check_table_and_verdict():
+    ps = [StancuParams(n, 20.0, 30.0) for n in (50, 100, 250)]
+    rep = check_corollary2(SIN15, ps)
+    assert rep.ok and rep.status is None
+    assert rep.header == "n,sup_error,operator_distance,corollary2_bound,t1_bound"
+    degrees, sups, dists, bounds, shifts = rep.columns
+    assert degrees == (50, 100, 250)
+    for j, p in enumerate(ps):
+        assert (sups[j], dists[j]) == sup_error_and_distance(SIN15, p)
+        assert bounds[j] == corollary2_bound(SIN15, p) and shifts[j] == p.displacement_bound()
+        assert sups[j] <= bounds[j] + 1e-9
 
 
 @given(

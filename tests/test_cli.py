@@ -1,6 +1,6 @@
 """CLI surface tests: schemas, exit codes, determinism, output files, closed pipes."""
 
-import dataclasses
+import io
 import os
 import stat
 import subprocess
@@ -320,41 +320,80 @@ def test_check_t4_names_an_overflowing_scale(capsys):
 
 
 def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
-    import stancu_lab.cli as cli
-    from stancu_lab import (
-        FunctionSpec, RatioFamily, check_theorem1, check_theorem2, check_theorem3,
-        theorem4_experiment,
-    )
+    import stancu_lab.bounds as bounds
+    import stancu_lab.nodes as nodes
 
-    # each check applies its tolerance once and stores the first failing
-    # entry; the message names that entry. The fakes are real reports with
-    # a failing entry set.
-    def failing(report, index):
-        return lambda *a, **k: dataclasses.replace(report, failing_index=index)
+    # each check applies its tolerance once, in its flag array, and its FAIL
+    # line names the first entry that breaks it. A tolerance moved below the
+    # margin of the second entry, and above that of the first, fails only
+    # the second: t4 margins 0.82 and 0.10, t1 0.17 and 0.09, t2 off m 0.02.
+    monkeypatch.setattr(bounds, "NOISE_FLOOR", -0.5)
+    rc, out, err = run(capsys, "check", "t4", "--function", "sin15", "--n", "10",
+                       "--alpha", "1", "--beta", "2", "--scales", "1,10")
+    assert (rc, err) == (1, "t4: FAIL at level 1: distance exceeds its bound\n")
+    assert out.startswith("level,alpha,beta,distance,bound\n0,1.0,2.0,")
 
-    t4 = theorem4_experiment(FunctionSpec.builtin("sin15"), 10, RatioFamily(1.0, 2.0, (1.0, 10.0)))
-    monkeypatch.setattr(cli, "theorem4_experiment", failing(t4, 1))
-    rc, _, err = run(capsys, "check", "t4", "--function", "sin15", "--n", "10",
-                     "--alpha", "1", "--beta", "2", "--scales", "1,10")
+    monkeypatch.setattr(nodes, "GAP_CUSHION", -0.1)
+    rc, out, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
+    assert (rc, err) == (1, "t1: FAIL at n=20: max_gap exceeds bound\n")
+    assert out.startswith("n,max_gap,bound\n10,")
+
+    # k = 5 sits at m = 1/2, where both distances are 0
+    monkeypatch.setattr(nodes, "DIST_CUSHION", -0.01)
+    rc, out, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
+    assert (rc, err) == (1, "t2: FAIL at k=5\n")
+    monkeypatch.undo()
+    assert out == run(capsys, "nodes", "--n", "10", "--alpha", "1", "--beta", "2")[1]
+
+
+def test_check_t3_names_the_pair_of_a_chain_that_breaks(capsys):
+    # the first link nests; in the second, beta = 1e16 and 1e17 swamp n = 100
+    # and node 37, next to m = 0.47, does not move strictly closer to m
+    pairs = ("4.7,10", "4.7e15,1e16", "4.7e16,1e17")
+    argv = ["check", "t3", "--n", "100"]
+    for pair in pairs:
+        argv += ["--pair", pair]
+    rc, out, err = run(capsys, *argv)
     assert rc == 1
-    assert err == "t4: FAIL at level 1: distance exceeds its bound\n"
+    assert err == "t3: FAIL for pairs (4700000000000000.0,1e+16) -> (4.7e+16,1e+17) at k=37\n"
+    header, rows = csv_rows(out)
+    assert header == ["k", "node_0", "dist_0", "node_1", "dist_1", "node_2", "dist_2"]
+    assert [row[0] for row in rows] == [str(k) for k in range(101)]
+    rc, _, err = run(capsys, *argv[:-2])
+    assert (rc, err) == (0, "")
 
-    p1, p2 = StancuParams(10, 1.0, 2.0), StancuParams(10, 2.0, 4.0)
-    monkeypatch.setattr(cli, "check_theorem1", failing(check_theorem1(p1, (10, 20)), 1))
-    rc, _, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
-    assert rc == 1
-    assert err == "t1: FAIL at n=20: max_gap exceeds bound\n"
 
-    monkeypatch.setattr(cli, "check_theorem2", failing(check_theorem2(p1), 1))
-    rc, _, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
-    assert rc == 1
-    assert err == "t2: FAIL at k=1\n"
+# the README presets and the console-step checks, each with its whole status
+# line; converge prints none
+STATUS_LINES = [
+    (("check", "t1", "--alpha", "20", "--beta", "30", "--n-list", "25,50,100,250"), "t1: OK"),
+    (("check", "t2", "--n", "100", "--alpha", "47", "--beta", "100"),
+     "t2: OK (contraction 0.5, crossings at k=47)"),
+    (("check", "t2", "--n", "100", "--alpha", "4.7", "--beta", "10"),
+     "t2: OK (contraction 0.9090909090909091, crossings at k=47)"),
+    (("check", "t2", "--n", "25", "--alpha", "17", "--beta", "100"),
+     "t2: OK (contraction 0.2, crossings at k=none)"),
+    (("check", "t3", "--n", "100", "--pair", "4.7,10", "--pair", "47,100", "--pair", "470,1000"),
+     "t3: OK (m=0.47000000000000003)"),
+    (("check", "t4", "--function", "sin15", "--n", "100", "--alpha", "4.7", "--beta", "10",
+      "--scales", "1,10,100,1000", "--epsilon", "0.3"),
+     "t4: OK (final distance 0.05447622394157359 at f(m)=0.6938449449297643)"),
+    (("check", "t4", "--function", "e0", "--n", "100", "--alpha", "4.7", "--beta", "10",
+      "--scales", "1,10,100"), "t4: OK (final distance 9.547918011776346e-15 at f(m)=1.0)"),
+    (("converge", "--function", "sin15", "--alpha", "20", "--beta", "30",
+      "--n-list", "50,100,250"), None),
+]
 
-    monkeypatch.setattr(cli, "check_theorem3", failing(check_theorem3(p1, p2), 3))
-    rc, out, err = run(capsys, "check", "t3", "--n", "10", "--pair", "1,2", "--pair", "2,4")
-    assert rc == 1
-    assert err == "t3: FAIL for pairs (1.0,2.0) -> (2.0,4.0) at k=3\n"
-    assert out.startswith("k,node_0,dist_0,node_1,dist_1\n")
+
+@pytest.mark.parametrize("argv,status", STATUS_LINES)
+def test_check_status_line_is_pinned(capsys, argv, status):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    *table, last = out.splitlines()
+    if status is None:
+        assert "OK" not in out and last.startswith("250,")
+    else:
+        assert last == status and all(line.count(",") for line in table)
 
 
 def test_check_t2_names_the_node_that_breaks_the_sign_pattern(capsys):
@@ -556,11 +595,11 @@ def test_converge_sin15_improves(capsys):
 
 
 def test_converge_fails_when_sup_error_exceeds_the_bound(capsys, monkeypatch):
-    import stancu_lab.cli as cli
+    import stancu_lab.bounds as bounds
 
     argv = ("converge", "--n-list", "50,100", "--alpha", "20", "--beta", "30")
     _, real, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "corollary2_bound", lambda f, p: 0.0)
+    monkeypatch.setattr(bounds, "corollary2_bound", lambda f, p: 0.0)
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert err == "converge: FAIL at n=50: sup_error exceeds corollary2_bound\n"
@@ -717,6 +756,38 @@ def test_short_writes_are_retried_until_every_byte_is_written(capsys, tmp_path, 
     assert max(asked) > 4096  # some write was cut short, or this test shows nothing
     for name in names:
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+class ShortRaw(io.RawIOBase):
+    """An unbuffered stdout's raw layer that takes at most 100 bytes a write."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.taken += data[:100]
+        return min(len(data), 100)
+
+
+@pytest.mark.parametrize("argv", [
+    ("nodes", "--n", "50"),
+    ("check", "t2", "--n", "100", "--alpha", "47", "--beta", "100"),
+], ids=["nodes", "t2"])
+def test_short_writes_to_an_unbuffered_stdout_are_retried(monkeypatch, argv):
+    # under -u or PYTHONUNBUFFERED, stdout is a write-through TextIOWrapper on
+    # a raw stream, and the wrapper drops what a short raw write leaves over
+    text = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", text)
+    assert main(list(argv)) == 0
+    raw = ShortRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                        write_through=True))
+    assert main(list(argv)) == 0
+    assert len(text.getvalue()) > 1000  # some write was cut short, or this test shows nothing
+    assert raw.taken.decode() == text.getvalue()
 
 
 def test_figure_creates_the_missing_directories(capsys, tmp_path):

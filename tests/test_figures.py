@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import (FunctionSpec, RatioFamily, StancuParams, apply_operator_curve,
-                        check_theorem1, corollary2_bound, evaluate, sup_error_and_distance, svg,
+                        corollary2_bound, evaluate, sup_error_and_distance, svg,
                         theorem4_experiment)
 from stancu_lab.cli import main
 from stancu_lab.figures import FIGURES, csv_rows, with_overrides
@@ -137,9 +137,10 @@ def test_check_t1_cells(capsys, shift):
     argv = ["check", "t1", "--alpha", shift[0], "--beta", shift[1],
             "--n-list", ",".join(map(str, degrees))]
     assert main(argv) == 0
-    report = check_theorem1(StancuParams(250, *map(float, shift)), degrees)
+    ps = [StancuParams(n, *map(float, shift)) for n in degrees]
+    max_gaps = [np.abs(node_table(p)[2]).max() for p in ps]
     assert_int_led(capsys.readouterr().out.split("t1: ")[0], degrees,
-                   [report.max_gaps, report.bounds])
+                   [max_gaps, [p.displacement_bound() for p in ps]])
 
 
 def test_check_t3_cells(capsys):
@@ -159,10 +160,11 @@ def test_check_t4_cells(capsys, function):
             "--beta", "10", "--scales", "1,10,100"]
     assert main(argv) == 0
     fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0))
-    report = theorem4_experiment(FunctionSpec.builtin(function), 100, fam)
-    alphas, betas = zip(*report.levels)
+    _, alphas, betas, distances, bounds = theorem4_experiment(
+        FunctionSpec.builtin(function), 100, fam).columns
+    assert (alphas, betas) == tuple(zip(*fam.levels()))
     assert_int_led(capsys.readouterr().out.split("t4: ")[0], range(3),
-                   [alphas, betas, report.distances, report.bounds])
+                   [alphas, betas, distances, bounds])
 
 
 def test_converge_cells(capsys):

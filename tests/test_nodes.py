@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stancu_lab import (
+    CheckReport,
     FunctionSpec,
     RatioFamily,
     StancuParams,
+    check_corollary2,
     check_theorem1,
     check_theorem2,
     check_theorem3,
@@ -31,20 +33,28 @@ def gaps(p):
     return p.node_values() - StancuParams(p.n).node_values()
 
 
-def contraction_residual(rep):
-    """Largest |stancu_dist - contraction * bernstein_dist| of a t2 report."""
-    return float(np.abs(rep.stancu_dist - rep.contraction * rep.bernstein_dist).max())
+def t2_distances(rep):
+    """A t2 report's columns |k/n - m| and |(k + alpha)/(n + beta) - m|."""
+    return rep.columns[4], rep.columns[5]
+
+
+def contraction_residual(p, rep):
+    """Largest |stancu_dist - contraction * bernstein_dist| of a t2 report,
+    with the contraction factor n/(n + beta)."""
+    bern_dist, stan_dist = t2_distances(rep)
+    return float(np.abs(stan_dist - p.n / (p.n + p.beta) * bern_dist).max())
 
 
 def nesting_residuals(p1, p2, rep):
     """The t3 identities' residuals, with their factor (n + beta1)/(n + beta2):
     nodes1 - nodes2 = n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)) and
     dist2 = factor * dist1."""
-    n, b1, b2, m = p1.n, p1.beta, p2.beta, rep.ratio_m
+    n, b1, b2, m = p1.n, p1.beta, p2.beta, p1.alpha / p1.beta
     plain, nodes1, nodes2 = (q.node_values() for q in (StancuParams(n), p1, p2))
     factor = (n + b1) / (n + b2)
     diff = (nodes1 - nodes2) - (n * (b2 - b1) * (plain - m)) / ((n + b1) * (n + b2))
-    dist = rep.dist2 - factor * rep.dist1
+    _, _, dist1, _, dist2 = rep.columns
+    dist = dist2 - factor * dist1
     return float(np.abs(diff).max()), float(np.abs(dist).max()), factor
 
 
@@ -105,24 +115,28 @@ def test_node_gap_identity_and_bound(p, k_frac):
 
 def test_theorem1_report_values():
     rep = check_theorem1(StancuParams(250, 20.0, 30.0), [25, 50, 100, 250])
-    assert rep.ok and rep.failing_index is None
+    assert rep.ok and rep.failing_index is None and rep.status == "t1: OK"
+    assert rep.header == "n,max_gap,bound"
+    degrees, max_gaps, bounds = rep.columns
+    assert degrees == (25, 50, 100, 250)
     np.testing.assert_allclose(
-        rep.bounds, [50.0 / 55.0, 50.0 / 80.0, 50.0 / 130.0, 50.0 / 280.0], rtol=0, atol=1e-15
+        bounds, [50.0 / 55.0, 50.0 / 80.0, 50.0 / 130.0, 50.0 / 280.0], rtol=0, atol=1e-15
     )
-    assert (rep.max_gaps <= rep.bounds).all()
+    assert (max_gaps <= bounds).all()
 
     tiny = check_theorem1(StancuParams(1, 1.0, 1.0), [1])
     assert tiny.ok
-    assert tiny.max_gaps[0] == pytest.approx(0.5, abs=1e-15)
-    assert tiny.bounds[0] == 1.0
+    assert tiny.columns[1][0] == pytest.approx(0.5, abs=1e-15)
+    assert tiny.columns[2][0] == 1.0
 
     plain = check_theorem1(StancuParams(10, 0.0, 0.0), [5, 10, 20])
-    assert plain.ok and plain.max_gaps.max() == 0.0
+    assert plain.ok and plain.columns[1].max() == 0.0
 
     # alpha = 0: the largest gap 1/3 equals the bound, but the float gap
     # lands one ulp above the float bound and passes through GAP_CUSHION
     edge = check_theorem1(StancuParams(2, 0.0, 1.0), [2])
-    assert 0.0 < edge.max_gaps[0] - edge.bounds[0] <= 1e-16
+    _, max_gaps, bounds = edge.columns
+    assert 0.0 < max_gaps[0] - bounds[0] <= 1e-16
     assert edge.ok and edge.failing_index is None
 
 
@@ -132,7 +146,7 @@ def test_theorem1_decides_the_fall_on_exact_bounds():
     for a, b, degrees in ((1e300, 1e301, [5, 10]), (4.7e16, 1e17, [99, 100]),
                           (1e308, 1e308, [5, 6])):
         rep = check_theorem1(StancuParams(max(degrees), a, b), degrees)
-        assert rep.bounds[0] == rep.bounds[1]
+        assert rep.columns[2][0] == rep.columns[2][1]
         assert rep.ok and rep.failing_index is None
 
 
@@ -153,27 +167,31 @@ def test_theorem1_validation():
 @pytest.mark.parametrize("alpha", [17.0, 47.0, 77.0])
 @pytest.mark.parametrize("n", [25, 100])
 def test_theorem2_contraction(alpha, n):
-    rep = check_theorem2(StancuParams(n, alpha, 100.0))
+    p = StancuParams(n, alpha, 100.0)
+    rep = check_theorem2(p)
     assert rep.ok and rep.failing_index is None
-    assert rep.contraction == n / (n + 100.0)
-    assert contraction_residual(rep) <= 1e-14
-    assert (rep.stancu_dist <= rep.bernstein_dist + 1e-15).all()
+    assert rep.status.startswith(f"t2: OK (contraction {n / (n + 100.0)!r}, crossings at k=")
+    assert contraction_residual(p, rep) <= 1e-14
+    bern_dist, stan_dist = t2_distances(rep)
+    assert (stan_dist <= bern_dist + 1e-15).all()
 
 
 def test_theorem2_crossing_at_integer_ratio():
     rep = check_theorem2(StancuParams(100, 47.0, 100.0))
-    assert rep.crossing_indices == (47,)
-    assert rep.stancu_dist[47] == 0.0 and rep.bernstein_dist[47] == 0.0
+    assert rep.status == "t2: OK (contraction 0.5, crossings at k=47)"
+    bern_dist, stan_dist = t2_distances(rep)
+    assert stan_dist[47] == 0.0 and bern_dist[47] == 0.0
     # 25 * 17/100 is not an integer: no crossing index exists
-    assert check_theorem2(StancuParams(25, 17.0, 100.0)).crossing_indices == ()
+    assert check_theorem2(StancuParams(25, 17.0, 100.0)).status == (
+        "t2: OK (contraction 0.2, crossings at k=none)")
 
 
 def test_theorem2_distances_scale_exactly():
-    rep = check_theorem2(StancuParams(25, 17.0, 100.0))
-    np.testing.assert_allclose(rep.stancu_dist, 0.2 * rep.bernstein_dist, rtol=0, atol=1e-15)
+    bern_dist, stan_dist = t2_distances(check_theorem2(StancuParams(25, 17.0, 100.0)))
+    np.testing.assert_allclose(stan_dist, 0.2 * bern_dist, rtol=0, atol=1e-15)
     # every shifted node lies between its plain node and m: its gap is the
     # difference of the two distances to m
-    max_gap = (rep.bernstein_dist - rep.stancu_dist).max()
+    max_gap = (bern_dist - stan_dist).max()
     assert max_gap == pytest.approx(np.abs(0.8 * (np.arange(26) / 25 - 0.17)).max(), abs=1e-14)
 
 
@@ -182,7 +200,8 @@ def test_theorem2_sign_pattern_names_the_first_node_off_m():
     # Node 0 sits at m; node 1 is the first to break the strict pattern,
     # while the distance inequality still holds everywhere.
     rep = check_theorem2(StancuParams(10, 0.0, 1e-300))
-    assert (rep.stancu_dist <= rep.bernstein_dist).all()
+    bern_dist, stan_dist = t2_distances(rep)
+    assert (stan_dist <= bern_dist).all()
     assert rep.failing_index == 1 and not rep.ok
 
 
@@ -194,8 +213,8 @@ def test_theorem2_requires_positive_beta():
 @given(n=st.integers(1, 200), b=st.floats(0.5, 500.0), frac=st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_theorem2_identity_property(n, b, frac):
-    rep = check_theorem2(StancuParams(n, frac * b, b))
-    assert contraction_residual(rep) <= 1e-14
+    p = StancuParams(n, frac * b, b)
+    assert contraction_residual(p, check_theorem2(p)) <= 1e-14
 
 
 def test_theorem3_fixed_ratio_families():
@@ -218,20 +237,21 @@ def test_theorem3_fixed_ratio_families():
     assert diff_err <= 1e-13
     assert dist_err <= 1e-13
     off = np.abs(np.arange(n + 1) / n - 0.47) > 1e-12
-    assert (rep2.dist2[off] < rep2.dist1[off]).all()
+    _, _, dist1, _, dist2 = rep2.columns
+    assert (dist2[off] < dist1[off]).all()
 
 
 def test_theorem3_identical_families_degenerate():
     p = StancuParams(50, 3.0, 12.0)
     rep = check_theorem3(p, p)
     assert rep.ok
-    np.testing.assert_array_equal(rep.dist1, rep.dist2)
+    np.testing.assert_array_equal(rep.columns[2], rep.columns[4])
     assert nesting_residuals(p, p, rep)[:2] == (0.0, 0.0)
 
 
 def test_theorem3_validation():
     p = StancuParams(100, 4.7, 10.0)
-    assert check_theorem3(p, StancuParams(100, 47.0, 100.0)).ratio_m == 4.7 / 10.0
+    assert check_theorem3(p, StancuParams(100, 47.0, 100.0)).status == f"t3: OK (m={4.7 / 10.0!r})"
     with pytest.raises(ValueError, match="ratio mismatch"):
         check_theorem3(p, StancuParams(100, 48.0, 100.0))
     with pytest.raises(ValueError):
@@ -261,18 +281,24 @@ def test_failing_index_names_the_first_broken_entry():
 
 def test_reports_are_dataclasses_with_a_verdict():
     # the benchmark reads ok, failing_index and t4's within_bound, and
-    # digests a report field by field: each report must stay a dataclass
+    # digests a report field by field: every check returns the one record
+    # class, a dataclass whose columns are a tuple (a dict would be digested
+    # by its repr, which numpy cuts to 8 digits)
     p = StancuParams(100, 47.0, 100.0)
+    sin15 = FunctionSpec.builtin("sin15")
     reports = (
         check_theorem1(p, (25, 50, 100)),
         check_theorem2(p),
         check_theorem3(p, StancuParams(100, 470.0, 1000.0)),
-        theorem4_experiment(FunctionSpec.builtin("sin15"), 50, RatioFamily(1.0, 2.0, (1.0, 10.0))),
+        theorem4_experiment(sin15, 50, RatioFamily(1.0, 2.0, (1.0, 10.0))),
+        check_corollary2(sin15, [p]),
     )
     for report in reports:
-        assert dataclasses.is_dataclass(report) and not isinstance(report, type)
+        assert type(report) is CheckReport and dataclasses.is_dataclass(report)
         assert report.ok is True and report.failing_index is None
-    t4 = reports[-1]
+        assert isinstance(report.columns, tuple)
+        assert report.header.count(",") + 1 == len(report.columns)
+    t4 = reports[-2]
     assert t4.within_bound == t4.ok
     assert dataclasses.replace(t4, failing_index=1).within_bound is False
 
@@ -283,6 +309,20 @@ def test_theorem3_names_the_first_node_that_breaks_the_nesting():
     # strictly between the first and m = 0. Node 0 sits at m.
     rep = check_theorem3(StancuParams(10, 0.0, 1e-300), StancuParams(10, 0.0, 2e-300))
     assert rep.failing_index == 1 and not rep.ok
+
+
+def test_theorem3_decides_a_chain_link_by_link():
+    # flag entry j of a chain is node j % (n + 1) of link j // (n + 1); the
+    # first link nests, the second breaks at node 37 as it does alone
+    chain = [StancuParams(100, a, b) for a, b in ((4.7, 10.0), (4.7e15, 1e16), (4.7e16, 1e17))]
+    assert check_theorem3(*chain[:2]).ok
+    assert check_theorem3(*chain[1:]).failing_index == 37
+    rep = check_theorem3(*chain)
+    assert rep.failing_index == 101 + 37
+    assert rep.status == "t3: FAIL for pairs (4700000000000000.0,1e+16) -> (4.7e+16,1e+17) at k=37"
+    assert rep.header == "k,node_0,dist_0,node_1,dist_1,node_2,dist_2"
+    with pytest.raises(ValueError, match="two"):
+        check_theorem3(chain[0])
 
 
 def assert_protocol(report):
