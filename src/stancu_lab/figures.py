@@ -110,12 +110,6 @@ def curve_table(f: FunctionSpec, ps, xs: np.ndarray) -> list[np.ndarray]:
     return [xs, np.asarray(f(xs), dtype=float), *evaluate(f, ps, xs).T]
 
 
-def _node_table(p: StancuParams) -> tuple[np.ndarray, ...]:
-    """Columns bernstein_node, stancu_node, gap and, when beta > 0, the
-    distances of both families to m = alpha/beta."""
-    return node_table(p, p.alpha / p.beta if p.beta > 0.0 else None)
-
-
 def _node_csv_rows(table: tuple) -> str:
     rows = csv_rows([range(len(table[0])), *table])
     # beta = 0: the ratio alpha/beta is undefined, the distance cells stay empty
@@ -124,7 +118,7 @@ def _node_csv_rows(table: tuple) -> str:
 
 def node_rows(p: StancuParams) -> str:
     """CSV rows of the nodes schema: k,bernstein_node,stancu_node,gap,dists to m."""
-    return _node_csv_rows(_node_table(p))
+    return _node_csv_rows(node_table(p))
 
 
 def _nodes_csv(job: FigureJob, blocks: list) -> str:
@@ -166,5 +160,5 @@ def build_figure(job: FigureJob) -> tuple[str, str]:
         ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
         cols = curve_table(FunctionSpec.builtin(_FUNCTION), ps, uniform_grid(job.grid_size))
         return _curve_csv(job, cols), _curve_svg(job, cols)
-    blocks = [_node_table(StancuParams(job.n, a, b)) for a, b in job.pairs]
+    blocks = [node_table(StancuParams(job.n, a, b)) for a, b in job.pairs]
     return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

@@ -5,18 +5,18 @@ family samples at (k + alpha)/(n + beta). The checks below turn the
 geometric facts about those two point sets into plain per-index data:
 
 * the displacement of every shifted node from its plain counterpart is at
-  most (alpha + beta)/(n + beta), which vanishes as n grows
-  (``check_theorem1``);
+  most (alpha + beta)/(n + beta), vanishing as n grows (``check_theorem1``);
 * the shifted nodes contract toward the ratio m = alpha/beta by the exact
-  factor n/(n + beta), and the two families cross at m
-  (``check_theorem2``);
+  factor n/(n + beta), and the two families cross at m (``check_theorem2``);
 * growing beta at fixed ratio m nests the node families strictly closer
-  around m, with distance ratio (n + beta1)/(n + beta2)
-  (``check_theorem3``).
+  around m, with distance ratio (n + beta1)/(n + beta2) (``check_theorem3``).
 
-The t1 and t2 checks, the node CSV and the node figures read
-``node_table``: both node families, their gaps and, given m, their
-distances to m.
+``node_table`` holds both node families, their gaps and, when beta > 0,
+their distances to m; t2, the node CSV and the node figures read it.
+A check fails only where its floats refute the claim by more than their
+own rounding (``_allowance``), so FAIL means the claim is false for the
+stored shifts. t2 and t3 are one interval test (``_between``); a plain node
+within 1e-12 of m (``same_ratio``) sits at m, where the families cross.
 
 Every check, here and in ``bounds``, returns one ``CheckReport``: the CSV
 table it decided, the first entry that breaks its claim and its status
@@ -32,41 +32,38 @@ import numpy as np
 
 from .operators import StancuParams
 
-__all__ = [
-    "CheckReport",
-    "check_theorem1",
-    "check_theorem2",
-    "check_theorem3",
-]
+__all__ = ["CheckReport", "check_theorem1", "check_theorem2", "check_theorem3"]
 
-# |k/n - m| at or below this is treated as "the node sits at m"; covers the
-# float fuzz of non-representable ratios like 4.7/10.
-CROSSING_TOL = 1e-12
-
-# 1-ulp cushion for the t1 bound comparison: with alpha = 0 the largest gap
-# is mathematically EQUAL to the bound and two float evaluations of the same
-# real can land either side of each other.
-GAP_CUSHION = 1e-12
-
-# t2 cushion: a node at m has both distances 0, each a few ulps off in float
-DIST_CUSHION = 1e-15
+U, ETA = 2.0**-53, 2.0**-1074  # float64 unit roundoff and smallest subnormal
 
 NODE_HEADER = "k,bernstein_node,stancu_node,gap,dist_bern_to_m,dist_stancu_to_m"
 
 
-def node_table(p: StancuParams, m: float | None = None) -> tuple[np.ndarray, ...]:
-    """(k/n, (k + alpha)/(n + beta), their gap) over k = 0..n, and, when ``m``
-    is given, the distances |k/n - m| and |(k + alpha)/(n + beta) - m|."""
-    plain = StancuParams(p.n).node_values()
-    shifted = p.node_values()
+def node_table(p: StancuParams) -> tuple[np.ndarray, ...]:
+    """(k/n, (k + alpha)/(n + beta), their gap) over k = 0..n, and, when
+    beta > 0, the distances |k/n - m| and |(k + alpha)/(n + beta) - m| to
+    m = alpha/beta."""
+    plain, shifted = StancuParams(p.n).node_values(), p.node_values()
     table = (plain, shifted, shifted - plain)
+    m = p.alpha / p.beta if p.beta > 0.0 else None
     return table if m is None else table + (np.abs(plain - m), np.abs(shifted - m))
 
 
-def same_ratio(m1: float, m2: float) -> bool:
-    """Whether user-given quotients alpha/beta share m: within 1e-12 (relative
-    above 1), so 4.7/10 matches 47/100, and NaN matches nothing."""
-    return abs(m1 - m2) <= 1e-12 * max(1.0, abs(m1))
+def same_ratio(m1, m2):
+    """Whether quotients alpha/beta share m, elementwise for arrays: within
+    1e-12 (relative above 1), so 4.7/10 matches 47/100, and NaN matches
+    nothing. Also the rule for "the plain node k/n sits at m"."""
+    return np.abs(m1 - m2) <= 1e-12 * np.maximum(1.0, np.abs(m1))
+
+
+def _allowance(count: int, v):
+    """How far ``count`` roundings can carry a float of magnitude at most ``v``
+    from its exact value x. Each multiplies by (1 + d), |d| <= U, and an
+    underflowing product or quotient adds |e| <= ETA/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2.1, Lemma 3.1): gamma_c |x| + c ETA/2
+    in all, gamma_c = cU/(1 - cU), at most c (2U|v| + ETA) while cU <= 1/4;
+    the spare factor 2 covers the roundings of this allowance itself."""
+    return count * (2.0 * U * v + ETA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +93,13 @@ def decide(header: str, columns, flags: np.ndarray, ok: str | None, fail) -> Che
     return CheckReport(header, tuple(columns), i, ok if i is None else fail(i))
 
 
-def _between(plain, bern_dist, outer, inner, m) -> np.ndarray:
-    """Per index whose plain node k/n is off m (``bern_dist`` = |k/n - m|):
-    ``inner`` lies strictly between m and ``outer`` (t2, t3)."""
-    inside = np.where(plain > m, (m < inner) & (inner < outer), (outer < inner) & (inner < m))
-    return inside | (bern_dist <= CROSSING_TOL)
+def _between(m, outer, inner, count: int) -> np.ndarray:
+    """Per index: ``inner`` lies between m and ``outer``, both ends widened by
+    ``count`` roundings of the largest value (all lie in [0, 1]); so it is
+    also no farther from m than ``outer`` (t2, t3)."""
+    lo, hi = np.minimum(m, outer), np.maximum(m, outer)
+    slack = _allowance(count, np.maximum(hi, inner))
+    return (lo - slack <= inner) & (inner <= hi + slack)
 
 
 def check_theorem1(p: StancuParams, n_sequence) -> CheckReport:
@@ -122,9 +121,13 @@ def check_theorem1(p: StancuParams, n_sequence) -> CheckReport:
         raise ValueError("n_sequence must be non-empty")
     if any(d2 <= d1 for d1, d2 in zip(degrees, degrees[1:])):
         raise ValueError("n_sequence must be strictly increasing")
-    max_gaps = np.array([np.abs(node_table(q)[2]).max() for q in params])
+    max_gaps = np.array([np.abs(q.node_values() - StancuParams(q.n).node_values()).max()
+                         for q in params])
     bounds = np.array([q.displacement_bound() for q in params])
-    return decide("n,max_gap,bound", (degrees, max_gaps, bounds), max_gaps <= bounds + GAP_CUSHION,
+    # Roundings: shifted node 3, plain node 1, gap 1, bound 3 (n + beta, alpha + beta, the
+    # quotient; or n + beta, two quotients, a sum), bound + slack 1; all <= max(1, bound)
+    slack = _allowance(9, np.maximum(1.0, bounds))
+    return decide("n,max_gap,bound", (degrees, max_gaps, bounds), max_gaps <= bounds + slack,
                   "t1: OK", lambda i: f"t1: FAIL at n={degrees[i]}: max_gap exceeds bound")
 
 
@@ -133,17 +136,16 @@ def check_theorem2(p: StancuParams) -> CheckReport:
 
     The table is the ``nodes`` one. The shifted distances equal n/(n + beta)
     times the plain ones up to float rounding, and the two node families
-    coincide exactly at the crossings the OK line names; the tests check
-    both. A node fails when it is farther from m than its plain node, or
-    when, off m, it does not lie strictly between its plain node and m.
+    coincide exactly at the crossings the OK line names (plain nodes at m);
+    the tests check both. A node fails outside the interval between its
+    plain node and m, widened by the rounding of the values compared.
     """
     if p.beta <= 0.0:
         raise ValueError("beta must be positive: the ratio alpha/beta is undefined at 0")
-    m = p.alpha / p.beta
-    table = node_table(p, m)
-    plain, shifted, gaps, bern_dist, stan_dist = table
-    crossings = ",".join(map(str, np.flatnonzero(np.abs(gaps) <= CROSSING_TOL))) or "none"
-    flags = (stan_dist <= bern_dist + DIST_CUSHION) & _between(plain, bern_dist, plain, shifted, m)
+    m, table = p.alpha / p.beta, node_table(p)
+    crossings = ",".join(map(str, np.flatnonzero(same_ratio(table[0], m)))) or "none"
+    # Roundings: shifted node 3 (k + alpha, n + beta, quotient), plain 1, m 1, widened end 1
+    flags = _between(m, table[0], table[1], 6)
     ok = f"t2: OK (contraction {p.n / (p.n + p.beta)!r}, crossings at k={crossings})"
     return decide(NODE_HEADER, (range(p.n + 1), *table), flags, ok, "t2: FAIL at k={}".format)
 
@@ -153,11 +155,12 @@ def check_theorem3(*params: StancuParams) -> CheckReport:
     ratios alpha/beta agree and alpha and beta do not fall.
 
     With beta2 > beta1 the second family sits strictly between the first
-    and m, and strictly closer to m, at every index off m. The distances
-    shrink by the exact factor (n + beta1)/(n + beta2), and the families
-    differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)); the
-    tests check both identities. With beta2 = beta1 the two families must
-    be identical.
+    and m, and strictly closer to m, at every index off m; a node fails
+    outside that interval widened by the rounding of the values compared.
+    The distances shrink by the exact factor (n + beta1)/(n + beta2), and
+    the families differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n +
+    beta2)); the tests check both identities. With beta2 = beta1 the two
+    families must be identical.
 
     Every pair is validated before any node is compared. The table holds
     each family and its distance to the first pair's m; each link is
@@ -182,10 +185,10 @@ def check_theorem3(*params: StancuParams) -> CheckReport:
     flags = []
     for (p1, p2), nodes1, nodes2 in zip(links, nodes, nodes[1:]):
         m1 = p1.alpha / p1.beta
-        bern_dist = np.abs(plain - m1)
         if p2.beta > p1.beta:
-            nearer = (np.abs(nodes2 - m1) < np.abs(nodes1 - m1)) | (bern_dist <= CROSSING_TOL)
-            flags.append(_between(plain, bern_dist, nodes1, nodes2, m1) & nearer)
+            # Roundings: two shifted nodes 3 each, m 1, the widened interval end 1. Where k/n
+            # sits at m, each family sits at its own ratio, which same_ratio lets differ
+            flags.append(_between(m1, nodes1, nodes2, 8) | same_ratio(plain, m1))
         else:  # identical ratios with equal beta mean identical families
             flags.append(nodes1 == nodes2)
 

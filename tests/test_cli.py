@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stancu_lab
@@ -270,7 +271,9 @@ def test_check_t3_columns_come_from_the_node_table(capsys):
     header, rows = csv_rows(out)
     assert header == ["k", "node_0", "dist_0", "node_1", "dist_1", "node_2", "dist_2"]
     for i, (a, b) in enumerate(pairs):
-        _, nodes, _, _, dist = node_table(StancuParams(100, a, b), 4.7 / 10.0)
+        # every distance column is taken to the first pair's m
+        nodes = node_table(StancuParams(100, a, b))[1]
+        dist = np.abs(nodes - 4.7 / 10.0)
         assert [row[1 + 2 * i] for row in rows] == list(map(repr, nodes.tolist()))
         assert [row[2 + 2 * i] for row in rows] == list(map(repr, dist.tolist()))
 
@@ -326,36 +329,39 @@ def test_check_t4_failing_level_uses_the_bound_tolerance(capsys, monkeypatch):
     # each check applies its tolerance once, in its flag array, and its FAIL
     # line names the first entry that breaks it. A tolerance moved below the
     # margin of the second entry, and above that of the first, fails only
-    # the second: t4 margins 0.82 and 0.10, t1 0.17 and 0.09, t2 off m 0.02.
+    # the second: t4 margins 0.82 and 0.10, t1 0.17 and 0.09.
     monkeypatch.setattr(bounds, "NOISE_FLOOR", -0.5)
     rc, out, err = run(capsys, "check", "t4", "--function", "sin15", "--n", "10",
                        "--alpha", "1", "--beta", "2", "--scales", "1,10")
     assert (rc, err) == (1, "t4: FAIL at level 1: distance exceeds its bound\n")
     assert out.startswith("level,alpha,beta,distance,bound\n0,1.0,2.0,")
 
-    monkeypatch.setattr(nodes, "GAP_CUSHION", -0.1)
+    # t1 and t2 take their tolerance from the rounding allowance alone
+    monkeypatch.setattr(nodes, "_allowance", lambda count, v: -0.1)
     rc, out, err = run(capsys, "check", "t1", "--n-list", "10,20", "--alpha", "1", "--beta", "2")
     assert (rc, err) == (1, "t1: FAIL at n=20: max_gap exceeds bound\n")
     assert out.startswith("n,max_gap,bound\n10,")
 
-    # k = 5 sits at m = 1/2, where both distances are 0
-    monkeypatch.setattr(nodes, "DIST_CUSHION", -0.01)
+    # node k lies 0.08, 0.07, 0.05, 0.03, 0.017 inside its interval for
+    # k = 0..4: a tolerance of -0.02 fails k = 4 first
+    monkeypatch.setattr(nodes, "_allowance", lambda count, v: -0.02)
     rc, out, err = run(capsys, "check", "t2", "--n", "10", "--alpha", "1", "--beta", "2")
-    assert (rc, err) == (1, "t2: FAIL at k=5\n")
+    assert (rc, err) == (1, "t2: FAIL at k=4\n")
     monkeypatch.undo()
     assert out == run(capsys, "nodes", "--n", "10", "--alpha", "1", "--beta", "2")[1]
 
 
 def test_check_t3_names_the_pair_of_a_chain_that_breaks(capsys):
-    # the first link nests; in the second, beta = 1e16 and 1e17 swamp n = 100
-    # and node 37, next to m = 0.47, does not move strictly closer to m
-    pairs = ("4.7,10", "4.7e15,1e16", "4.7e16,1e17")
+    # the first link nests; in the second, beta = 1e16 swamps n = 100 and the
+    # nodes collapse onto 0.3333333333333, 3.3e-14 below m = 1/3: far beyond
+    # rounding, so node 34, the first above m, is not between m and node_1
+    pairs = ("1,3", "10,30", "3.333333333333e15,1e16")
     argv = ["check", "t3", "--n", "100"]
     for pair in pairs:
         argv += ["--pair", pair]
     rc, out, err = run(capsys, *argv)
     assert rc == 1
-    assert err == "t3: FAIL for pairs (4700000000000000.0,1e+16) -> (4.7e+16,1e+17) at k=37\n"
+    assert err == "t3: FAIL for pairs (10.0,30.0) -> (3333333333333000.0,1e+16) at k=34\n"
     header, rows = csv_rows(out)
     assert header == ["k", "node_0", "dist_0", "node_1", "dist_1", "node_2", "dist_2"]
     assert [row[0] for row in rows] == [str(k) for k in range(101)]
@@ -375,6 +381,16 @@ STATUS_LINES = [
      "t2: OK (contraction 0.2, crossings at k=none)"),
     (("check", "t3", "--n", "100", "--pair", "4.7,10", "--pair", "47,100", "--pair", "470,1000"),
      "t3: OK (m=0.47000000000000003)"),
+    # the float nodes move by less than their rounding; the crossings are the
+    # plain nodes at m, not the gaps below 1e-12 (all of them at 1e-13, 1e-12)
+    (("check", "t2", "--n", "100", "--alpha", "4.7e16", "--beta", "1e17"),
+     "t2: OK (contraction 9.99999999999999e-16, crossings at k=47)"),
+    (("check", "t2", "--n", "10", "--alpha", "1e-320", "--beta", "1e-310"),
+     "t2: OK (contraction 1.0, crossings at k=none)"),
+    (("check", "t3", "--n", "100", "--pair", "4.7e15,1e16", "--pair", "4.7e16,1e17"),
+     "t3: OK (m=0.47)"),
+    (("check", "t2", "--n", "10", "--alpha", "1e-13", "--beta", "1e-12"),
+     "t2: OK (contraction 0.9999999999999, crossings at k=1)"),
     (("check", "t4", "--function", "sin15", "--n", "100", "--alpha", "4.7", "--beta", "10",
       "--scales", "1,10,100,1000", "--epsilon", "0.3"),
      "t4: OK (final distance 0.05447622394157359 at f(m)=0.6938449449297643)"),
@@ -396,13 +412,15 @@ def test_check_status_line_is_pinned(capsys, argv, status):
         assert last == status and all(line.count(",") for line in table)
 
 
-def test_check_t2_names_the_node_that_breaks_the_sign_pattern(capsys):
-    # k/(10 + 1e-300) rounds to k/10; node 0 sits at m = 0, node 1 is the
-    # first that does not move strictly toward m. Stdout is the node table.
-    argv = ("--n", "10", "--alpha", "0", "--beta", "1e-300")
+def test_check_t2_names_the_node_that_breaks_the_sign_pattern(capsys, monkeypatch):
+    # with alpha and beta swapped in the node formula, (k + 2)/11 overshoots
+    # m = 1/2 first at node 4. Stdout is the node table.
+    monkeypatch.setattr(StancuParams, "node_values",
+                        lambda p: (np.arange(p.n + 1) + p.beta) / (p.n + p.alpha))
+    argv = ("--n", "10", "--alpha", "1", "--beta", "2")
     rc, out, err = run(capsys, "check", "t2", *argv)
     assert rc == 1
-    assert err == "t2: FAIL at k=1\n"
+    assert err == "t2: FAIL at k=4\n"
     assert out == run(capsys, "nodes", *argv)[1]
 
 

@@ -1,6 +1,7 @@
 """Node geometry tests: gap identities, contraction, nesting."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stancu_lab import (
     check_theorem3,
     theorem4_experiment,
 )
-from stancu_lab.nodes import node_table
+from stancu_lab.nodes import _allowance, node_table, same_ratio
 
 params_strategy = st.builds(
     lambda n, b, frac: StancuParams(n, frac * b, b),
@@ -31,6 +32,12 @@ params_strategy = st.builds(
 def gaps(p):
     """Displacement of every shifted node from its plain counterpart k/n."""
     return p.node_values() - StancuParams(p.n).node_values()
+
+
+def swap_shifts(monkeypatch):
+    """Replace the node formula by the mutant (k + beta)/(n + alpha)."""
+    monkeypatch.setattr(StancuParams, "node_values",
+                        lambda p: (np.arange(p.n + 1) + p.beta) / (p.n + p.alpha))
 
 
 def t2_distances(rep):
@@ -88,11 +95,10 @@ def test_node_table_matches_the_node_formulas(n, alpha, beta):
     k = np.arange(n + 1)
     plain, shifted = k / n, (k + alpha) / (n + beta)
     expected = [plain, shifted, shifted - plain]
-    table = node_table(StancuParams(n, alpha, beta))
-    if beta > 0.0:
+    if beta > 0.0:  # the table takes its own m = alpha/beta
         m = alpha / beta
         expected += [np.abs(plain - m), np.abs(shifted - m)]
-        table = node_table(StancuParams(n, alpha, beta), m)
+    table = node_table(StancuParams(n, alpha, beta))
     assert [c.tobytes() for c in table] == [c.tobytes() for c in expected]
 
 
@@ -133,7 +139,7 @@ def test_theorem1_report_values():
     assert plain.ok and plain.columns[1].max() == 0.0
 
     # alpha = 0: the largest gap 1/3 equals the bound, but the float gap
-    # lands one ulp above the float bound and passes through GAP_CUSHION
+    # lands one ulp above the float bound and passes within the allowance
     edge = check_theorem1(StancuParams(2, 0.0, 1.0), [2])
     _, max_gaps, bounds = edge.columns
     assert 0.0 < max_gaps[0] - bounds[0] <= 1e-16
@@ -195,14 +201,40 @@ def test_theorem2_distances_scale_exactly():
     assert max_gap == pytest.approx(np.abs(0.8 * (np.arange(26) / 25 - 0.17)).max(), abs=1e-14)
 
 
-def test_theorem2_sign_pattern_names_the_first_node_off_m():
-    # k/(10 + 1e-300) rounds to k/10: no shifted node moves toward m = 0.
-    # Node 0 sits at m; node 1 is the first to break the strict pattern,
-    # while the distance inequality still holds everywhere.
-    rep = check_theorem2(StancuParams(10, 0.0, 1e-300))
-    bern_dist, stan_dist = t2_distances(rep)
-    assert (stan_dist <= bern_dist).all()
-    assert rep.failing_index == 1 and not rep.ok
+def test_theorem2_sign_pattern_names_the_first_node_off_m(monkeypatch):
+    # with alpha and beta swapped, the nodes (k + 2)/11 overshoot m = 1/2
+    # first at node 4 (6/11), far beyond rounding; nodes 0..3 still lie
+    # between k/10 and m, and node 5 sits at m
+    swap_shifts(monkeypatch)
+    rep = check_theorem2(StancuParams(10, 1.0, 2.0))
+    assert rep.failing_index == 4 and rep.status == "t2: FAIL at k=4"
+    # and t1: the gap 2/n of (k + 2)/n exceeds the bound 2/(n + 2)
+    rep = check_theorem1(StancuParams(20, 0.0, 2.0), [10, 20])
+    assert rep.failing_index == 0 and rep.status == "t1: FAIL at n=10: max_gap exceeds bound"
+
+
+def test_theorem2_decides_the_crossing_node_too(monkeypatch):
+    # shifted nodes moved 1e-9 off the formula still lie between k/n and m
+    # wherever k/n is off m; at the crossing k = 47 the interval is m alone
+    nodes = StancuParams.node_values
+    monkeypatch.setattr(StancuParams, "node_values",
+                        lambda p: nodes(p) + (1e-9 if p.beta > 0.0 else 0.0))
+    assert check_theorem2(StancuParams(100, 47.0, 100.0)).failing_index == 47
+    assert check_theorem2(StancuParams(25, 17.0, 100.0)).ok
+
+
+@pytest.mark.parametrize("n,alpha,beta,crossings", [
+    (10, 0.0, 1e-300, "0"),  # k/(10 + 1e-300) rounds to k/10
+    (10, 1e-320, 1e-310, "none"),  # n/(n + beta) rounds to 1
+    (10, 1e-13, 1e-12, "1"),  # every gap is below 1e-12; only k = 1 sits at m
+    (100, 4.7e16, 1e17, "47"),  # every node rounds to within 1e-15 of m
+])
+def test_theorem2_holds_where_the_float_nodes_cannot_move(n, alpha, beta, crossings):
+    # the shifted node moves by less than its own rounding: the check is OK,
+    # and the crossings are the plain nodes at m, not the small gaps
+    rep = check_theorem2(StancuParams(n, alpha, beta))
+    assert rep.ok
+    assert rep.status == f"t2: OK (contraction {n / (n + beta)!r}, crossings at k={crossings})"
 
 
 def test_theorem2_requires_positive_beta():
@@ -303,23 +335,40 @@ def test_reports_are_dataclasses_with_a_verdict():
     assert dataclasses.replace(t4, failing_index=1).within_bound is False
 
 
-def test_theorem3_names_the_first_node_that_breaks_the_nesting():
-    # k/(10 + 1e-300) rounds to k/10, so the first family sits on the plain
-    # nodes; a second family at beta = 2e-300 rounds there too and cannot lie
-    # strictly between the first and m = 0. Node 0 sits at m.
-    rep = check_theorem3(StancuParams(10, 0.0, 1e-300), StancuParams(10, 0.0, 2e-300))
-    assert rep.failing_index == 1 and not rep.ok
+# 3333333333333000/1e16 is 3.3e-14 below m = 1/3: within same_ratio, far beyond rounding
+CHAIN = ((1.0, 3.0), (10.0, 30.0), (3.333333333333e15, 1e16))
+
+
+def test_theorem3_names_the_first_node_that_breaks_the_nesting(monkeypatch):
+    # the second family collapses onto its own ratio, which lies below 1/3
+    # by more than rounding; node 34 is the first above m, where it falls
+    # outside [m, first family]
+    pair = [StancuParams(100, a, b) for a, b in CHAIN[1:]]
+    rep = check_theorem3(*pair)
+    assert rep.failing_index == 34 and not rep.ok
+    # with alpha and beta swapped, (k + 4)/12 overshoots m = 1/2 at node 3
+    swap_shifts(monkeypatch)
+    rep = check_theorem3(StancuParams(10, 1.0, 2.0), StancuParams(10, 2.0, 4.0))
+    assert rep.failing_index == 3 and not rep.ok
+
+
+def test_theorem3_holds_where_the_float_nodes_cannot_move():
+    # the second family differs from the first by less than its rounding
+    for pairs, m in ((((0.0, 1e-300), (0.0, 2e-300)), 0.0),
+                     (((4.7e15, 1e16), (4.7e16, 1e17)), 0.47)):
+        rep = check_theorem3(*(StancuParams(100, a, b) for a, b in pairs))
+        assert rep.ok and rep.status == f"t3: OK (m={m!r})"
 
 
 def test_theorem3_decides_a_chain_link_by_link():
     # flag entry j of a chain is node j % (n + 1) of link j // (n + 1); the
-    # first link nests, the second breaks at node 37 as it does alone
-    chain = [StancuParams(100, a, b) for a, b in ((4.7, 10.0), (4.7e15, 1e16), (4.7e16, 1e17))]
+    # first link nests, the second breaks at node 34 as it does alone
+    chain = [StancuParams(100, a, b) for a, b in CHAIN]
     assert check_theorem3(*chain[:2]).ok
-    assert check_theorem3(*chain[1:]).failing_index == 37
+    assert check_theorem3(*chain[1:]).failing_index == 34
     rep = check_theorem3(*chain)
-    assert rep.failing_index == 101 + 37
-    assert rep.status == "t3: FAIL for pairs (4700000000000000.0,1e+16) -> (4.7e+16,1e+17) at k=37"
+    assert rep.failing_index == 101 + 34
+    assert rep.status == "t3: FAIL for pairs (10.0,30.0) -> (3333333333333000.0,1e+16) at k=34"
     assert rep.header == "k,node_0,dist_0,node_1,dist_1,node_2,dist_2"
     with pytest.raises(ValueError, match="two"):
         check_theorem3(chain[0])
@@ -364,3 +413,50 @@ def test_report_protocol_t3(n, b, grow, frac):
             check_theorem3(p1, p2)
     else:
         assert_protocol(check_theorem3(p1, p2))
+
+
+# ------------------------------------------------ rounding allowance
+
+# every decade of beta a float holds, with both ends of the float range
+BETAS = (5e-324, *(10.0**e for e in range(-323, 301)), 1.7e308)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.47, 1.0, "random"])
+@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+def test_node_claims_hold_for_every_decade_of_beta(n, ratio):
+    # t1..t3 are theorems: on valid shifts no float check may refute them
+    rng = np.random.default_rng(n)
+    for beta in BETAS:
+        p = StancuParams(n, (rng.random() if ratio == "random" else ratio) * beta, beta)
+        assert check_theorem1(p, sorted({1, n})).ok, p
+        assert check_theorem2(p).ok, p
+        grown = StancuParams(n, 1.05 * p.alpha, 1.05 * p.beta)
+        # subnormal shifts can round off the shared ratio; t3 rejects those
+        if same_ratio(p.alpha / p.beta, grown.alpha / grown.beta):
+            assert check_theorem3(p, grown).ok, (p, grown)
+
+
+def within(count, v, exact):
+    """Whether the float v lies within the allowance of ``count`` roundings of ``exact``."""
+    return abs(Fraction(v) - exact) <= Fraction(_allowance(count, abs(v)))
+
+
+@given(n=st.integers(1, 40), e=st.integers(-323, 300), mant=st.floats(1.0, 10.0),
+       frac=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_allowance_bounds_the_error_of_every_node(n, e, mant, frac):
+    # the counts the checks use: plain node 1, shifted node 3, m 1, bound 3,
+    # and a gap carries both nodes' allowances plus its own rounding
+    beta = mant * 10.0**e
+    p = StancuParams(n, frac * beta, beta)
+    a, b = Fraction(p.alpha), Fraction(p.beta)
+    plain, shifted, gaps = node_table(p)[:3]
+    for k in range(n + 1):
+        exact_plain, exact_shifted = Fraction(k, n), (k + a) / (n + b)
+        assert within(1, plain[k], exact_plain)
+        assert within(3, shifted[k], exact_shifted)
+        g = Fraction(gaps[k]) - (exact_shifted - exact_plain)
+        assert abs(g) <= sum(Fraction(_allowance(c, abs(v)))
+                             for c, v in ((3, shifted[k]), (1, plain[k]), (1, gaps[k])))
+    assert within(1, p.alpha / p.beta, a / b)
+    assert within(3, p.displacement_bound(), (a + b) / (n + b))
