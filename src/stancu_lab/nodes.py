@@ -155,12 +155,12 @@ def check_theorem3(*params: StancuParams) -> CheckReport:
     ratios alpha/beta agree and alpha and beta do not fall.
 
     With beta2 > beta1 the second family sits strictly between the first
-    and m, and strictly closer to m, at every index off m; a node fails
-    outside that interval widened by the rounding of the values compared.
-    The distances shrink by the exact factor (n + beta1)/(n + beta2), and
-    the families differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n +
-    beta2)); the tests check both identities. With beta2 = beta1 the two
-    families must be identical.
+    and m, and strictly closer to m, at every index off m; on m, each lies
+    between k/n and its own pair's m (t2's test). A node fails outside its
+    interval widened by the rounding of the values compared. The distances
+    shrink by the exact factor (n + beta1)/(n + beta2), and the families
+    differ by n (beta2 - beta1)(k/n - m)/((n + beta1)(n + beta2)); the tests
+    check both identities. With beta2 = beta1 the families must be equal.
 
     Every pair is validated before any node is compared. The table holds
     each family and its distance to the first pair's m; each link is
@@ -184,11 +184,12 @@ def check_theorem3(*params: StancuParams) -> CheckReport:
     plain, *nodes = (q.node_values() for q in (StancuParams(n), *params))
     flags = []
     for (p1, p2), nodes1, nodes2 in zip(links, nodes, nodes[1:]):
-        m1 = p1.alpha / p1.beta
+        m1, m2 = p1.alpha / p1.beta, p2.alpha / p2.beta
         if p2.beta > p1.beta:
-            # Roundings: two shifted nodes 3 each, m 1, the widened interval end 1. Where k/n
-            # sits at m, each family sits at its own ratio, which same_ratio lets differ
-            flags.append(_between(m1, nodes1, nodes2, 8) | same_ratio(plain, m1))
+            # Roundings: two shifted nodes 3 each, m 1, interval end 1. Where k/n sits at m, each
+            # family sits at its own m: as in t2, between k/n and it (shifted 3, k/n 1, m 1, end 1)
+            at_m = _between(m1, plain, nodes1, 6) & _between(m2, plain, nodes2, 6)
+            flags.append(np.where(same_ratio(plain, m1), at_m, _between(m1, nodes1, nodes2, 8)))
         else:  # identical ratios with equal beta mean identical families
             flags.append(nodes1 == nodes2)
 

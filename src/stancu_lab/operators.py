@@ -23,12 +23,15 @@ running sum at any point: the result is bit-identical to running all n
 steps, which a zero running sum always does. A lone point is checked by
 two float comparisons and sent to its endpoint value or to ``_point``,
 which runs the same operations in the same order as two ufunc accumulates
-along k, with no grid masks. A grid steps its non-empty halves as the
-rows of one stream (``_stream``): the basis is updated in place one step
-at a time, and a block of up to 16 steps ends with two ufunc calls, one
-forming its terms and one adding them to the running sum in ascending k,
-the same roundings in the same order. A block holds at most 17 sum rows:
-a ufunc accumulate along all of k (column by column) was 5-10x slower.
+along k. A grid is cut by ``np.searchsorted`` at its first x > 0, x > 1/2
+and x = 1, so its endpoints and halves are slices; points out of order
+are sorted for that (stably) and their results put back once at the end.
+It steps its non-empty halves as the rows of one stream (``_stream``):
+the basis is updated in place one step at a time, and a block of up to
+16 steps ends with two ufunc calls, one forming its terms and one adding
+them to the running sum in ascending k, the same roundings in the same
+order. A block holds at most 17 sum rows: a ufunc accumulate along all
+of k (column by column) was 5-10x slower.
 Both read a cached ratio table per degree and the node values each
 StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie in
 [0, 1]) at its node table, and the operator keeps those samples for the
@@ -383,7 +386,8 @@ def evaluate(f, p, xs) -> np.ndarray:
     which keeps the samples of the last spec it was given; other callables
     are called every time. x = 0 and x = 1 return f(t_0) and f(t_n)
     exactly (the recurrence would hit 0**0 there). Points x > 1/2 are
-    reflected to 1 - x with the node values reversed.
+    reflected to 1 - x with the node values reversed. Unsorted xs are
+    sorted for the cuts at 0, 1/2 and 1, and their results put back.
     """
     if not isinstance(xs, float):  # np.float64 is a float too
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -397,24 +401,29 @@ def evaluate(f, p, xs) -> np.ndarray:
         if not ps or any(q.n != ps[0].n for q in ps):
             raise ValueError("operators evaluated together must share one degree")
         fn = np.stack([q._sampled(f) for q in ps], axis=1)
-    if isinstance(xs, float):  # one point: no masks, gathers or scatters
+    if isinstance(xs, float):  # one point: no sort, cuts or stream
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()
         return _point(fn, xs) if xs <= 0.5 else _point(fn[::-1], 1.0 - xs)
+    order = None if (xs[1:] >= xs[:-1]).all() else np.argsort(xs, kind="stable")
+    xs = xs if order is None else xs[order]
+    # Cuts of the sorted points: the first x > 0, x > 1/2 and x >= 1 (= 1).
+    a, h, e = np.searchsorted(xs, (0.0, 0.5, 1.0 - 2.0**-53), "right").tolist()
     out = np.empty(xs.shape + fn.shape[1:])
-    out[xs == 0.0] = fn[0]
-    out[xs == 1.0] = fn[-1]
-    # One stream, a row per non-empty half: u = x over the node values,
-    # u = 1 - x over them reversed. The shorter row is padded with copies
-    # of its own points, which stop exactly as those points do.
-    left, right = (xs > 0.0) & (xs <= 0.5), (xs > 0.5) & (xs < 1.0)
-    rows = [(m, u[m], g) for m, u, g in ((left, xs, fn), (right, 1.0 - xs, fn[::-1])) if m.any()]
+    out[:a], out[e:] = fn[0], fn[-1]
+    # One stream, a row per non-empty half: u = x over the node values, u = 1 - x over
+    # them reversed; the shorter row is padded with its last point, which stops as it does.
+    halves = ((slice(a, h), xs[a:h], fn), (slice(h, e), 1.0 - xs[h:e], fn[::-1]))
+    rows = [row for row in halves if row[1].size]
     if rows:
-        width = max(u.size for _, u, _ in rows)
-        sums = _stream(np.stack([g for *_, g in rows], axis=1),
-                       np.array([np.resize(u, width) for _, u, _ in rows]))
-        for (m, u, _), s in zip(rows, sums):
-            out[m] = s[..., : u.size].T
+        us = np.empty((len(rows), max(u.size for _, u, _ in rows)))
+        gs = np.empty(fn.shape[:1] + us.shape[:1] + fn.shape[1:])
+        for j, (_, u, g) in enumerate(rows):
+            us[j, : u.size], us[j, u.size :], gs[:, j] = u, u[-1], g
+        for (cut, u, _), s in zip(rows, _stream(gs, us)):
+            out[cut] = s[..., : u.size].T
+    if order is not None:  # back to the caller's order
+        out[order] = out.copy()
     return out
 
 

@@ -352,6 +352,18 @@ def test_theorem3_names_the_first_node_that_breaks_the_nesting(monkeypatch):
     assert rep.failing_index == 3 and not rep.ok
 
 
+def test_theorem3_decides_the_crossing_node_too(monkeypatch):
+    # shifted nodes moved 1e-9 off the formula still nest wherever k/n is
+    # off m; at the crossing k = 47 each family must sit between k/n and
+    # its own ratio, which here is m alone
+    nodes = StancuParams.node_values
+    monkeypatch.setattr(StancuParams, "node_values",
+                        lambda p: nodes(p) + (1e-9 if p.beta > 0.0 else 0.0))
+    rep = check_theorem3(StancuParams(100, 4.7, 10.0), StancuParams(100, 47.0, 100.0))
+    assert rep.failing_index == 47 and rep.status == (
+        "t3: FAIL for pairs (4.7,10.0) -> (47.0,100.0) at k=47")
+
+
 def test_theorem3_holds_where_the_float_nodes_cannot_move():
     # the second family differs from the first by less than its rounding
     for pairs, m in ((((0.0, 1e-300), (0.0, 2e-300)), 0.0),

@@ -297,7 +297,12 @@ EXIT_POINTS = (np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 4097),
                uniform_grid(1001, 0, 400), uniform_grid(1001, 600), uniform_grid(1001, 300),
                np.array([0.9, 0.1, 0.5, 0.7, 0.7, 0.3]), np.array([0.0, 0.3]),
                # each branch of the one-point dispatch
-               0.0, 1.0, -0.0, np.array([0.77]))
+               0.0, 1.0, -0.0, np.array([0.77]),
+               # unsorted grids, permuted and scattered back; grids of endpoints
+               # only; one point thrice; a signed zero cut with the zeros
+               uniform_grid(1001)[::-1], np.random.default_rng(0).permutation(uniform_grid(1001)),
+               np.array([0.0, 1.0]), np.array([1.0, 0.0, 1.0]), np.array([0.3, 0.3, 0.3]),
+               np.array([0.7, -0.0, 0.2]))
 
 
 def assert_batch_is_full_recurrence(ps):
@@ -420,6 +425,24 @@ def test_every_grid_matches_the_one_point_path(n, count):
         got = evaluate(f, p, xs).reshape(xs.size, -1).view(np.int64)
         for x, row in zip(xs.tolist(), got):
             assert (evaluate(f, p, x).reshape(-1).view(np.int64) == row).all()
+
+
+CUT_POINTS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(data=st.data(), n=st.sampled_from([1, 17, 250]))
+@settings(max_examples=60, deadline=None)
+def test_grid_in_any_order_matches_the_one_point_path(data, n):
+    # a grid is cut at 0, 1/2 and 1 after sorting, and the results are put
+    # back in the caller's order; every point must keep its one-point bits
+    base = data.draw(st.lists(CUT_POINTS, min_size=1, max_size=150))
+    copies = data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=150))
+    xs = np.array(data.draw(st.permutations(base + copies)))
+    f = FunctionSpec.builtin("sin15")
+    three = tuple(StancuParams(n, a, b) for a, b in BATCH_PAIRS[1:])
+    for p in (three[0], three):
+        want = np.concatenate([evaluate(f, p, x) for x in xs.tolist()])
+        assert (evaluate(f, p, xs).view(np.int64) == want.view(np.int64)).all()
 
 
 def test_one_point_inputs_reject_an_underflowing_degree():
