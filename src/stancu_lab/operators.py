@@ -6,42 +6,49 @@ variant keeps the weights and shifts the sample points to
 (k + alpha)/(n + beta) for shift parameters 0 <= alpha <= beta; alpha =
 beta = 0 recovers the plain operator through the same code path.
 
-Everything in this module is a pure function of its arguments. All
-evaluation goes through ``evaluate``: one forward ratio recurrence over k
-(no explicit binomial coefficients, so degrees in the hundreds stay exact
-to ~1e-13) that adds f(t_k) b_{n,k}(x) to a running sum as it goes, so
-the basis is never materialised and memory does not depend on n. The
-basis depends on n and x only, never on the shifts, so operators of one
-degree share one recurrence: ``evaluate`` takes a tuple of them and
-updates the basis once per step for all. Points x > 1/2 run the
-recurrence at 1 - x over the node values in reverse, so it always starts
-from its well-conditioned end and (1 - x)**n never underflows for the
-supported degree range. The weights sit within a few sqrt(n x (1 - x))
-of k = n x, so the recurrence, stepped in k and vectorised across
-points, stops as soon as no remaining term can change a bit of the
-running sum at any point: the result is bit-identical to running all n
-steps, which a zero running sum always does. A lone point is checked by
-two float comparisons and sent to its endpoint value or to ``_point``,
-which runs the same operations in the same order as two ufunc accumulates
-along k. A grid is cut by ``np.searchsorted`` at its first x > 0, x > 1/2
-and x = 1, so its endpoints and halves are slices; points out of order
-are sorted for that (stably) and their results put back once at the end.
-It steps its non-empty halves as the rows of one stream (``_stream``):
-the basis is updated in place one step at a time, and a block of up to
-16 steps ends with two ufunc calls, one forming its terms and one adding
+Every result of this module is a pure function of its arguments; the
+kept basis rows (below) change speed, never a bit. All evaluation goes
+through ``evaluate``: one forward ratio recurrence over k (no explicit
+binomial coefficients, so degrees in the hundreds stay exact to ~1e-13)
+that adds f(t_k) b_{n,k}(x) to a running sum as it goes, so memory does
+not depend on n: a grid's basis is held whole only where it repeats and
+fits a fixed bound (kept rows, below). The basis depends on n and x
+only, never on the shifts, so operators of one degree share one
+recurrence: ``evaluate`` takes a tuple of them and updates the basis
+once per step for all. Points x > 1/2 run the recurrence at 1 - x over
+the node values in reverse, so it always starts from its
+well-conditioned end and (1 - x)**n never underflows for the supported
+degree range. The weights sit within a few sqrt(n x (1 - x)) of k = n x,
+so the recurrence, stepped in k and vectorised across points, stops as
+soon as no remaining term can change a bit of the running sum at any
+point: the result is bit-identical to running all n steps, which a zero
+running sum always does. A lone point is checked by two float
+comparisons and sent to its endpoint value or to ``_point``, which runs
+the same operations in the same order as two ufunc accumulates along k.
+A grid is cut by ``np.searchsorted`` at its first x > 0, x > 1/2 and
+x = 1, so its endpoints and halves are slices; points out of order are
+sorted for that (stably) and their results put back once at the end. It
+steps its non-empty halves as the rows of one stream (``_stream``): the
+basis is updated in place one step at a time, and a block of up to 16
+steps ends with two ufunc calls, one forming its terms and one adding
 them to the running sum in ascending k, the same roundings in the same
 order. A block holds at most 17 sum rows: a ufunc accumulate along all
-of k (column by column) was 5-10x slower.
+of k (column by column) was 5-10x slower. A sweep over the shifts at one
+degree and grid repeats one stream, so from its second sight its basis
+rows, keyed by its exact u rows, are kept read-only (at most 1 MiB a
+stream and 2 MiB in all) and read back instead of stepped (``_stream``).
 Both read a cached ratio table per degree and the node values each
-StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie in
-[0, 1]) at its node table, and the operator keeps those samples for the
-last spec, by identity, applied to it.
+StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie
+in [0, 1]) at its node table, and the operator keeps those samples for
+the last spec, by identity, applied to it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -251,6 +258,53 @@ def _ratios(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
     return ratios, tuple(zip(ratios.tolist(), [ratios[k, ...] for k in range(n)]))
 
 
+_KEEP = 16  # keys the store records, and streams whose rows it keeps, at most
+_kept: OrderedDict = OrderedDict()  # key -> read-only basis rows, least recently used first
+_seen: OrderedDict = OrderedDict()  # hashes of the keys seen once, oldest first
+_kept_lock = threading.Lock()
+
+
+def _kept_rows(n: int, u: np.ndarray) -> tuple[np.ndarray | None, tuple | None]:
+    """The kept basis rows of the stream u at degree n, or None; and, at the
+    second sight of its key, the key for ``_keep`` (see ``_stream``)."""
+    if u.size < 2 or (n + 1) * u.nbytes > _BLOCK_BYTES:
+        return None, None
+    key = (n, u.shape, u.tobytes())
+    with _kept_lock:
+        rows = _kept.get(key)
+        if rows is not None:
+            _kept.move_to_end(key)
+            return rows, None
+        seen = hash(key)  # a clash only keeps a stream one sight early
+        if _seen.pop(seen, False):
+            return None, key
+        _seen[seen] = True
+        if len(_seen) > _KEEP:
+            _seen.popitem(last=False)
+    return None, None
+
+
+def _keep(key: tuple, u: np.ndarray) -> None:
+    """Step the whole basis of the stream u as ``_stream`` does, publish it
+    read-only under key, and drop the least recently used rows while the
+    store holds more than ``_KEEP`` streams or 2 ``_BLOCK_BYTES``, keys included."""
+    n = key[0]
+    w = 1.0 - u
+    rows = np.empty((n + 1,) + u.shape)
+    rows[0] = w**n
+    r = u / w
+    for k, (_, cv) in enumerate(_ratios(n)[1], 1):
+        np.multiply(rows[k - 1], r, rows[k])
+        np.multiply(rows[k], cv, rows[k])
+    rows.setflags(write=False)  # published whole, and never written again
+    with _kept_lock:
+        _kept[key] = rows
+        while len(_kept) > _KEEP or (
+            sum(v.nbytes + len(k[2]) for k, v in _kept.items()) > 2 * _BLOCK_BYTES
+        ):
+            _kept.popitem(last=False)
+
+
 def _point(fn: np.ndarray, u: float) -> np.ndarray:
     """``_stream`` at one point u, shape (1[, C]): its operations in its order.
 
@@ -270,7 +324,7 @@ def _point(fn: np.ndarray, u: float) -> np.ndarray:
     return np.add.accumulate(terms)[-1:]
 
 
-def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _stream(fn: np.ndarray, u: np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
     """Row j: sum_k fn[k, j] * b_{n,k}(u[j]) at interior points 0 < u <= 1/2.
 
     A stream of R rows takes u of shape (R, W) and the node values fn of
@@ -302,50 +356,76 @@ def _stream(fn: np.ndarray, u: np.ndarray) -> np.ndarray:
     term. ``evaluate`` sends a lone point to ``_point``. Degrees large
     enough to underflow the seed are rejected rather than silently
     returning zeros.
+
+    ``kept`` is the whole basis of this stream, rows 0..n of shape
+    (n+1, R, W), or None. ``evaluate`` looks it up by the key (n, u.shape,
+    u.tobytes()), so equal keys mean equal u rows, bit for bit
+    (``_kept_rows``). A key is recorded at its first sight; after its
+    second stream has returned and freed its block buffers, ``_keep`` steps
+    the whole basis by this recurrence (the seed an array power, then
+    (b r) c_k) and publishes it read-only, never to be written again, so
+    threads may read it while ufuncs release the GIL. Only streams of more
+    than one element with (n + 1) u.nbytes <= ``_BLOCK_BYTES`` are kept, and
+    the least recently used go while the store holds more than ``_KEEP``
+    streams or 2 ``_BLOCK_BYTES``. With kept rows a block reads rows
+    k+1..k+j of ``kept`` where it would step them into its buffer; the
+    terms, the sum and the stop are the same calls on the same bits.
     """
     n = fn.shape[0] - 1
     u = u[:, None] if fn.ndim == 3 else u
-    w = 1.0 - u
-    b = w**n
-    if float(b.min()) < _TINY:
-        raise ValueError(_TOO_LARGE.format(n))
-    r = u / w
+    if kept is None:
+        w = 1.0 - u
+        b = w**n
+        if float(b.min()) < _TINY:
+            raise ValueError(_TOO_LARGE.format(n))
+        r = u / w
+    else:
+        kept = kept.reshape((n + 1,) + u.shape)
+        b = kept[0]
     vals = fn[..., None]  # (n+1[, R][, C], 1): each step's values, broadcast over u
     acc = 0.0 + vals[0] * b
     size = _block_steps(n, b, acc)
-    if size == 1:  # b's own array is the one basis row, ts[0] the one term
-        ts = np.empty((1,) + acc.shape)
-        bs, rows, term = b[None], [b], ts[0]
+    if size == 1:  # b's own array is the one basis row
+        bs, term = b[None], np.empty(acc.shape)
     else:  # one allocation: two were handed back to the OS and faulted in again every call
-        buf = np.empty(size * b.size + (size + 1) * acc.size)
-        bs = buf[: size * b.size].reshape((size,) + b.shape)
-        sums = buf[size * b.size :].reshape((size + 1,) + acc.shape)  # row 0: acc's copy
-        rows = list(bs)
-        spec, bv = ("krc,krw->krcw", bs[:, :, 0]) if fn.ndim == 3 else ("kr,krw->krw", bs)
+        held = size * b.size if kept is None else 0  # the stepped basis rows
+        buf = np.empty(held + (size + 1) * acc.size)
+        bs = buf[:held].reshape((-1,) + b.shape)
+        sums = buf[held:].reshape((size + 1,) + acc.shape)  # row 0: acc's copy
+    # a block of j steps after step k reads rows 0..j-1 of bs, or k+1..k+j of kept
+    bs, rows = (bs, list(bs)) if kept is None else (kept, None)
+    spec, bv = ("krc,krw->krcw", bs[:, :, 0]) if fn.ndim == 3 else ("kr,krw->krw", bs)
     um = float(u.max())
     rm = um / (1.0 - um)  # max(r): the same two roundings, monotone in u
     fmax = float(np.abs(fn).max())  # read only by the exact stop below
     bound = fmax * 2.0**56
     first = math.ceil(n * um + 8.7 * math.sqrt(n * um * (1.0 - um)))
     check = first
-    j = 0  # steps in the open block
-    for k, (c, cv) in enumerate(_ratios(n)[1], 1):
-        # in place: the third argument is the output (faster than out=)
-        row = rows[j]
-        np.multiply(b, r, row)
-        np.multiply(row, cv, row)
-        b = row
-        j += 1
-        if j < size and k < n and k != first:  # a block also ends at first
-            continue
+    steps = _ratios(n)[1]
+    ratios = iter(steps)  # the stepped path's
+    top = min(first, n)
+    k = 0  # steps taken
+    # a block ends every size steps up to first, at first, every size steps on, and at n
+    for end in [*range(size, top, size), *range(top, n, size), n]:
+        j = end - k
+        if rows is None:
+            b, lo = kept[end], k + 1
+        else:
+            for row, (_, cv) in zip(rows if j == size else rows[:j], ratios):
+                # in place: the third argument is the output (faster than out=)
+                np.multiply(b, r, row)
+                np.multiply(row, cv, row)
+                b = row
+            lo = 0
+        k = end
+        c = steps[k - 1][0]
         if size == 1:
-            np.multiply(vals[k : k + 1], bs, ts)
+            np.multiply(vals[k], b, term)
             np.add(acc, term, acc)
         else:  # the block's j terms into rows 1..j, then acc + t_1 + ... + t_j
-            np.einsum(spec, fn[k + 1 - j : k + 1], bv[:j], out=sums[1 : j + 1])
+            np.einsum(spec, fn[k + 1 - j : k + 1], bv[lo : lo + j], out=sums[1 : j + 1])
             sums[0] = acc
             np.add.reduce(sums[: j + 1], 0, None, acc)
-        j = 0
         # Exact stop. This step used ratio c, and every later step
         # multiplies by r * c_j <= rm * c < 3/4 (the ratios fall with k).
         # Each step rounds twice (unit roundoff 2**-53, subnormal spacing
@@ -400,8 +480,10 @@ def evaluate(f, p, xs) -> np.ndarray:
         ps = tuple(p)
         if not ps or any(q.n != ps[0].n for q in ps):
             raise ValueError("operators evaluated together must share one degree")
-        fn = np.stack([q._sampled(f) for q in ps], axis=1)
+        fn, cols = None, [q._sampled(f) for q in ps]  # one column per operator
     if isinstance(xs, float):  # one point: no sort, cuts or stream
+        if fn is None:
+            fn = np.stack(cols, axis=1)
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()
         return _point(fn, xs) if xs <= 0.5 else _point(fn[::-1], 1.0 - xs)
@@ -409,19 +491,34 @@ def evaluate(f, p, xs) -> np.ndarray:
     xs = xs if order is None else xs[order]
     # Cuts of the sorted points: the first x > 0, x > 1/2 and x >= 1 (= 1).
     a, h, e = np.searchsorted(xs, (0.0, 0.5, 1.0 - 2.0**-53), "right").tolist()
-    out = np.empty(xs.shape + fn.shape[1:])
-    out[:a], out[e:] = fn[0], fn[-1]
     # One stream, a row per non-empty half: u = x over the node values, u = 1 - x over
     # them reversed; the shorter row is padded with its last point, which stops as it does.
-    halves = ((slice(a, h), xs[a:h], fn), (slice(h, e), 1.0 - xs[h:e], fn[::-1]))
+    halves = ((slice(a, h), xs[a:h]), (slice(h, e), 1.0 - xs[h:e]))
     rows = [row for row in halves if row[1].size]
+    us = np.empty((len(rows), max((u.size for _, u in rows), default=0)))
+    for j, (_, u) in enumerate(rows):
+        us[j, : u.size], us[j, u.size :] = u, u[-1]
+    # The samples go straight into the stream's (n+1, R[, C]) node array: its
+    # row 0 in node order, read in reverse where row 0 is the right half.
+    shape = (len(cols[0]), len(cols)) if fn is None else fn.shape  # (n+1[, C])
+    gs = np.empty(shape[:1] + (max(len(rows), 1),) + shape[1:])
+    lead = gs[:, 0] if a < h or h == e else gs[::-1, 0]
+    if fn is None:
+        for i, col in enumerate(cols):
+            lead[:, i] = col
+    else:
+        lead[...] = fn
+    fn = lead
+    if len(rows) == 2:
+        gs[:, 1] = fn[::-1]
+    out = np.empty(xs.shape + shape[1:])
+    out[:a], out[e:] = fn[0], fn[-1]
     if rows:
-        us = np.empty((len(rows), max(u.size for _, u, _ in rows)))
-        gs = np.empty(fn.shape[:1] + us.shape[:1] + fn.shape[1:])
-        for j, (_, u, g) in enumerate(rows):
-            us[j, : u.size], us[j, u.size :], gs[:, j] = u, u[-1], g
-        for (cut, u, _), s in zip(rows, _stream(gs, us)):
+        kept, key = _kept_rows(gs.shape[0] - 1, us)
+        for (cut, u), s in zip(rows, _stream(gs, us, kept)):
             out[cut] = s[..., : u.size].T
+        if key is not None:  # second sight: kept once the stream's buffers are freed
+            _keep(key, us)
     if order is not None:  # back to the caller's order
         out[order] = out.copy()
     return out

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -755,6 +756,126 @@ def test_block_buffers_stay_within_their_budget(monkeypatch):
         # the masks
         buffers = _BLOCK_BYTES if want > 1 else out.nbytes
         assert peak < buffers + 3 * out.nbytes + 10 * xs.nbytes
+
+
+def clear_kept_rows():
+    operators._kept.clear()
+    operators._seen.clear()
+
+
+def kept_bytes():
+    return sum(rows.nbytes + len(key[2]) for key, rows in operators._kept.items())
+
+
+def spy_on_kept(monkeypatch):
+    """A list that records, for each stream, whether it read kept rows."""
+    kept = []
+    stream = operators._stream
+
+    def recorded(fn, u, rows=None):
+        kept.append(rows is not None)
+        return stream(fn, u, rows)
+
+    monkeypatch.setattr(operators, "_stream", recorded)
+    return kept
+
+
+@pytest.mark.parametrize("pairs", [BATCH_PAIRS[1:2], BATCH_PAIRS[:2], T4_LEVELS],
+                         ids=["one", "two", "five"])
+@pytest.mark.parametrize("n", [17, 100])
+def test_kept_rows_are_bit_identical_to_full_recurrence(monkeypatch, n, pairs):
+    # each point set from a cleared store: the first stream of its key only
+    # records it, the second keeps its basis after it runs, the third reads
+    # the kept rows; all three must equal the full n-step sum bit for bit
+    ps = tuple(StancuParams(n, a, b) for a, b in pairs)
+    p = ps if len(ps) > 1 else ps[0]
+    kept = spy_on_kept(monkeypatch)
+    fns = [np.asarray(f(q.node_values()), dtype=float) for f in EXIT_TABLES for q in ps]
+    for xs in EXIT_POINTS:
+        want = full_recurrence(np.stack(fns, axis=1), np.reshape(xs, -1)).view(np.int64)
+        for i, f in enumerate(EXIT_TABLES):
+            cols = want[:, i * len(ps):(i + 1) * len(ps)].reshape(-1)
+            clear_kept_rows()
+            kept.clear()
+            for sight in ("first", "admitting", "kept"):
+                got = evaluate(f, p, xs).view(np.int64).reshape(-1)
+                assert (got == cols).all(), (sight, i)
+            assert kept in ([], [False, False, False], [False, False, True])
+    # the grids of 1001 points (sorted and not) read kept rows at both degrees
+    clear_kept_rows()
+    kept.clear()
+    for xs in EXIT_POINTS[0], uniform_grid(1001)[::-1]:
+        for _ in range(3):
+            evaluate(EXIT_TABLES[0], p, xs)
+    assert kept == [False, False, True, True, True, True]
+
+
+def test_kept_rows_are_read_only():
+    clear_kept_rows()
+    p, xs = StancuParams(100, 20.0, 30.0), uniform_grid(1001)
+    for _ in range(2):
+        evaluate(FunctionSpec.builtin("sin15"), p, xs)
+    (key, rows), = operators._kept.items()
+    assert key[:2] == (100, (2, 500)) and rows.shape == (101, 2, 500)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[1, 0, 0] = 0.0
+
+
+def test_kept_rows_stay_within_their_bound(monkeypatch):
+    # a sweep over degrees and grids, each stream seen three times: the store
+    # never holds more than twice the block budget or _KEEP streams, and a
+    # stream whose n+1 rows exceed the budget is never kept
+    kept = spy_on_kept(monkeypatch)
+    clear_kept_rows()
+    f = FunctionSpec.builtin("sin15")
+    held = set()
+    for n in (1, 2, 5, 17, 50, 100, 250, 100, 50):
+        for size in (3, 11, 101, 1001, 2001, 4097):
+            ps = (StancuParams(n, 20.0, 30.0), StancuParams(n))
+            for _ in range(3):
+                evaluate(f, ps, uniform_grid(size))
+                assert kept_bytes() <= 2 * _BLOCK_BYTES
+                assert len(operators._kept) <= operators._KEEP
+                held |= {key[:2] for key in operators._kept}
+                assert (250, (2, 500)) not in held
+    assert {(50, (2, 500)), (100, (2, 500)), (17, (2, 1000))} <= held
+    assert kept.count(True) >= 20
+
+
+def test_threads_reading_one_key_agree_bit_for_bit():
+    # four threads (more than the cores CI has) on a cold store, each
+    # evaluating one key ten times with a short switch interval, so streams
+    # record the key, keep it and read it while the others step theirs
+    clear_kept_rows()
+    ps = tuple(StancuParams(100, a, b) for a, b in T4_LEVELS)
+    xs = uniform_grid(1001)
+    f = FunctionSpec.builtin("sin15")
+    for q in ps:  # sample f before the threads start
+        q._sampled(f)
+    start = threading.Barrier(4, timeout=60)
+    results = [[] for _ in range(4)]
+
+    def work(out):
+        start.wait()
+        for _ in range(10):
+            out.append(evaluate(f, ps, xs).view(np.int64))
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = full_recurrence(np.stack([f(q.node_values()) for q in ps], axis=1), xs)
+    assert [len(out) for out in results] == [10] * 4
+    assert all((got == want.view(np.int64)).all() for out in results for got in out)
+    assert len(operators._kept) == 1
 
 
 def test_curve_validation():
