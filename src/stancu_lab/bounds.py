@@ -70,6 +70,10 @@ class BoundConfig:
 
 DEFAULT_CONFIG = BoundConfig()
 
+# The sup grid, one read-only array, so ``evaluate`` prepares it once for every call
+_SUP_GRID = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
+_SUP_GRID.setflags(write=False)
+
 
 @lru_cache(maxsize=16)
 def _plain(n: int, f: FunctionSpec) -> StancuParams:
@@ -139,7 +143,7 @@ def _max_error(f: FunctionSpec, values: np.ndarray) -> float:
 
 def sup_error(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |operator value - f|, the uniform-norm proxy."""
-    return _max_error(f, evaluate(f, p, uniform_grid(DEFAULT_CONFIG.sup_grid_size)))
+    return _max_error(f, evaluate(f, p, _SUP_GRID))
 
 
 def operator_distance(f: FunctionSpec, p: StancuParams) -> float:
@@ -158,7 +162,7 @@ def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, flo
     single batched ``evaluate`` yields both grid maxima, each
     bit-identical to its own function.
     """
-    shifted, plain = evaluate(f, (p, _plain(p.n, f)), uniform_grid(DEFAULT_CONFIG.sup_grid_size)).T
+    shifted, plain = evaluate(f, (p, _plain(p.n, f)), _SUP_GRID).T
     return _max_error(f, shifted), float(np.abs(shifted - plain).max())
 
 
@@ -223,8 +227,7 @@ def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily,
     f_at_m = float(f(m))
     windows = (DEFAULT_CONFIG.mod_step, *(2.0 * n / (n + b) for _, b in levels))
     slack, *omegas = _moduli(_samples(f, DEFAULT_CONFIG.mod_grid_size), windows)
-    grid = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
-    d = np.abs(evaluate(f, ps, grid) - f_at_m).max(axis=0)
+    d = np.abs(evaluate(f, ps, _SUP_GRID) - f_at_m).max(axis=0)
     bounds = np.array([omega + slack for omega in omegas])
     within = d <= bounds + NOISE_FLOOR
     final = float(d[-1])

@@ -27,7 +27,9 @@ comparisons and sent to its endpoint value or to ``_point``, which runs
 the same operations in the same order as two ufunc accumulates along k.
 A grid is cut by ``np.searchsorted`` at its first x > 0, x > 1/2 and
 x = 1, so its endpoints and halves are slices; points out of order are
-sorted for that (stably) and their results put back once at the end. It
+sorted for that (stably) and their results put back once at the end.
+That layout is remembered for the last grid array and reused while the
+caller passes the same array with the same bytes (``_layout``). It
 steps its non-empty halves as the rows of one stream (``_stream``): the
 basis is updated in place one step at a time, and a block of up to 16
 steps ends with two ufunc calls, one forming its terms and one adding
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -264,12 +267,12 @@ _seen: OrderedDict = OrderedDict()  # hashes of the keys seen once, oldest first
 _kept_lock = threading.Lock()
 
 
-def _kept_rows(n: int, u: np.ndarray) -> tuple[np.ndarray | None, tuple | None]:
-    """The kept basis rows of the stream u at degree n, or None; and, at the
-    second sight of its key, the key for ``_keep`` (see ``_stream``)."""
+def _kept_rows(n: int, u: np.ndarray, ub: bytes) -> tuple[np.ndarray | None, tuple | None]:
+    """The kept basis rows of the stream u (whose bytes are ub) at degree n, or
+    None; and, at the second sight of its key, the key for ``_keep`` (see ``_stream``)."""
     if u.size < 2 or (n + 1) * u.nbytes > _BLOCK_BYTES:
         return None, None
-    key = (n, u.shape, u.tobytes())
+    key = (n, u.shape, ub)
     with _kept_lock:
         rows = _kept.get(key)
         if rows is not None:
@@ -454,6 +457,44 @@ def _stream(fn: np.ndarray, u: np.ndarray, kept: np.ndarray | None = None) -> np
     return acc
 
 
+_F64 = np.dtype(float)
+_grid: tuple = (lambda: None, b"", None)  # the last grid remembered: weak ref, bytes, layout
+
+
+def _layout(xs) -> float | tuple:
+    """xs as a float where it is one point, else its grid layout for ``evaluate``:
+    size, stable sort order (None if sorted), cuts a, h, e, each stream row's
+    slice and width, the read-only u rows and their bytes (the kept-rows key,
+    built once, so its hash is cached). The last float64 array's layout is
+    remembered, weakly and within ``_BLOCK_BYTES``, as one tuple, and reused
+    while the caller passes that same array (``is``) with the same bytes."""
+    global _grid
+    grid = _grid  # read once: another thread may swap it
+    if type(xs) is np.ndarray and xs is grid[0]() and xs.dtype == _F64 and xs.tobytes() == grid[1]:
+        return grid[2]
+    pts = np.asarray(xs, dtype=float).reshape(-1)
+    if pts.size == 1:
+        return float(pts[0])
+    pts = _as_unit_interval(pts)
+    order = None if (pts[1:] >= pts[:-1]).all() else np.argsort(pts, kind="stable")
+    srt = pts if order is None else pts[order]
+    # Cuts of the sorted points: the first x > 0, x > 1/2 and x >= 1 (= 1).
+    a, h, e = np.searchsorted(srt, (0.0, 0.5, 1.0 - 2.0**-53), "right").tolist()
+    # One stream, a row per non-empty half: u = x over the node values, u = 1 - x over
+    # them reversed; the shorter row is padded with its last point, which stops as it does.
+    halves = ((slice(a, h), srt[a:h]), (slice(h, e), 1.0 - srt[h:e]))
+    rows = [row for row in halves if row[1].size]
+    us = np.empty((len(rows), max((u.size for _, u in rows), default=0)))
+    for j, (_, u) in enumerate(rows):
+        us[j, : u.size], us[j, u.size :] = u, u[-1]
+    us.setflags(write=False)
+    layout = pts.size, order, (a, h, e), [(cut, u.size) for cut, u in rows], us, us.tobytes()
+    held = pts.nbytes + 2 * us.nbytes + (0 if order is None else order.nbytes)
+    if type(xs) is np.ndarray and xs.dtype == _F64 and held <= _BLOCK_BYTES:
+        _grid = (weakref.ref(xs), pts.tobytes(), layout)
+    return layout
+
+
 def evaluate(f, p, xs) -> np.ndarray:
     """Operator values sum_k b_{n,k}(x) f(t_k) at every point x of xs.
 
@@ -467,11 +508,11 @@ def evaluate(f, p, xs) -> np.ndarray:
     are called every time. x = 0 and x = 1 return f(t_0) and f(t_n)
     exactly (the recurrence would hit 0**0 there). Points x > 1/2 are
     reflected to 1 - x with the node values reversed. Unsorted xs are
-    sorted for the cuts at 0, 1/2 and 1, and their results put back.
+    sorted for the cuts at 0, 1/2 and 1, and their results put back. Passing
+    one float64 array again, unchanged, reuses its checks, sort and cuts.
     """
     if not isinstance(xs, float):  # np.float64 is a float too
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        xs = float(xs[0]) if xs.size == 1 else _as_unit_interval(xs)
+        xs = _layout(xs)  # a float for one point
     if isinstance(xs, float) and not 0.0 <= xs <= 1.0:  # NaN fails both tests, +-inf one
         raise ValueError("x must lie in [0, 1]")
     if isinstance(p, StancuParams):
@@ -487,17 +528,7 @@ def evaluate(f, p, xs) -> np.ndarray:
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()
         return _point(fn, xs) if xs <= 0.5 else _point(fn[::-1], 1.0 - xs)
-    order = None if (xs[1:] >= xs[:-1]).all() else np.argsort(xs, kind="stable")
-    xs = xs if order is None else xs[order]
-    # Cuts of the sorted points: the first x > 0, x > 1/2 and x >= 1 (= 1).
-    a, h, e = np.searchsorted(xs, (0.0, 0.5, 1.0 - 2.0**-53), "right").tolist()
-    # One stream, a row per non-empty half: u = x over the node values, u = 1 - x over
-    # them reversed; the shorter row is padded with its last point, which stops as it does.
-    halves = ((slice(a, h), xs[a:h]), (slice(h, e), 1.0 - xs[h:e]))
-    rows = [row for row in halves if row[1].size]
-    us = np.empty((len(rows), max((u.size for _, u in rows), default=0)))
-    for j, (_, u) in enumerate(rows):
-        us[j, : u.size], us[j, u.size :] = u, u[-1]
+    size, order, (a, h, e), rows, us, ub = xs  # the grid's layout
     # The samples go straight into the stream's (n+1, R[, C]) node array: its
     # row 0 in node order, read in reverse where row 0 is the right half.
     shape = (len(cols[0]), len(cols)) if fn is None else fn.shape  # (n+1[, C])
@@ -511,12 +542,12 @@ def evaluate(f, p, xs) -> np.ndarray:
     fn = lead
     if len(rows) == 2:
         gs[:, 1] = fn[::-1]
-    out = np.empty(xs.shape + shape[1:])
+    out = np.empty((size,) + shape[1:])
     out[:a], out[e:] = fn[0], fn[-1]
     if rows:
-        kept, key = _kept_rows(gs.shape[0] - 1, us)
-        for (cut, u), s in zip(rows, _stream(gs, us, kept)):
-            out[cut] = s[..., : u.size].T
+        kept, key = _kept_rows(gs.shape[0] - 1, us, ub)
+        for (cut, width), s in zip(rows, _stream(gs, us, kept)):
+            out[cut] = s[..., :width].T
         if key is not None:  # second sight: kept once the stream's buffers are freed
             _keep(key, us)
     if order is not None:  # back to the caller's order

@@ -44,6 +44,7 @@ from stancu_lab import (
     theorem4_experiment,
     uniform_grid,
 )
+from stancu_lab import bounds
 from stancu_lab.bounds import C1, _moduli, _samples
 from stancu_lab.nodes import same_ratio
 
@@ -226,6 +227,28 @@ def test_repeated_scans_sample_the_plain_operator_once(monkeypatch):
     assert seen.count(p.node_values().tolist()) == 1
     shifted, fresh = evaluate(f, (p, plain), uniform_grid(DEFAULT_CONFIG.sup_grid_size)).T
     assert first[1] == float(np.abs(shifted - fresh).max())
+
+
+def test_sup_grid_is_read_only_and_bounds_match_a_fresh_grid():
+    # the one module sup grid is uniform_grid(1001), bit for bit and read-only,
+    # and every measurement on it equals evaluate on a fresh copy of that grid
+    grid = bounds._SUP_GRID
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[1] = 0.5
+    fresh = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
+    assert np.array_equal(grid.view(np.int64), fresh.view(np.int64))
+    fam = RatioFamily(4.7, 10.0, (1.0, 10.0, 100.0))
+    for f in (SIN15, ABSHALF):
+        vals = f(fresh)
+        for p in (StancuParams(100, 20.0, 30.0), StancuParams(1000, 4.7, 10.0)):
+            shifted, plain = evaluate(f, (p, StancuParams(p.n)), uniform_grid(1001)).T
+            assert sup_error(f, p) == float(np.abs(shifted - vals).max())
+            assert operator_distance(f, p) == float(np.abs(shifted - plain).max())
+        ps = tuple(StancuParams(100, a, b) for a, b in fam.levels())
+        d = np.abs(evaluate(f, ps, uniform_grid(1001)) - float(f(fam.ratio_m))).max(axis=0)
+        got = theorem4_experiment(f, 100, fam).columns[3]
+        assert np.array_equal(got.view(np.int64), d.view(np.int64))
 
 
 def test_alternating_functions_sample_the_plain_operator_once_each(monkeypatch):

@@ -878,6 +878,118 @@ def test_threads_reading_one_key_agree_bit_for_bit():
     assert len(operators._kept) == 1
 
 
+def forget_grid():
+    operators._grid = (lambda: None, b"", None)
+
+
+def count_layouts(monkeypatch):
+    """A list with one entry for each grid that ``evaluate`` prepares afresh."""
+    fresh = []
+    check = operators._as_unit_interval
+
+    def recorded(x, what="x"):
+        fresh.append(np.size(x))
+        return check(x, what)
+
+    monkeypatch.setattr(operators, "_as_unit_interval", recorded)
+    return fresh
+
+
+@pytest.mark.parametrize("pairs", [BATCH_PAIRS[1:2], BATCH_PAIRS[:2]], ids=["one", "two"])
+@pytest.mark.parametrize("n", [17, 100])
+def test_remembered_grid_is_bit_identical_to_full_recurrence(monkeypatch, n, pairs):
+    # every grid of EXIT_POINTS, sorted, reversed and shuffled included: the
+    # first call prepares and remembers it, the second reuses that layout,
+    # and a fresh equal copy is prepared again; all equal the full n-step
+    # sum bit for bit
+    ps = tuple(StancuParams(n, a, b) for a, b in pairs)
+    p = ps if len(ps) > 1 else ps[0]
+    fresh = count_layouts(monkeypatch)
+    grids = [xs for xs in EXIT_POINTS if np.size(xs) >= 2]
+    assert len(grids) == 13
+    for xs in grids:
+        forget_grid()
+        for f in EXIT_TABLES:
+            fns = np.stack([np.asarray(f(q.node_values()), dtype=float) for q in ps], axis=1)
+            want = full_recurrence(fns, xs).view(np.int64).reshape(-1)
+            fresh.clear()
+            for points in (xs, xs, xs.copy()):
+                got = evaluate(f, p, points).view(np.int64).reshape(-1)
+                assert (got == want).all()
+            assert fresh == [xs.size, xs.size]  # the repeat reused the layout
+            assert operators._grid[0]() is not xs  # the copy replaced it
+
+
+def test_a_remembered_grid_changed_in_place_is_prepared_again():
+    # the same array object with new bytes, written directly or through the
+    # array it views, must give the values of its new points
+    f = FunctionSpec.builtin("sin15")
+    p = (StancuParams(100, 20.0, 30.0), StancuParams(100))
+    base = uniform_grid(2001)
+    for xs, write in ((uniform_grid(1001), lambda: xs.__imul__(0.5)),
+                      (base[::2], lambda: base.__setitem__(slice(None), base[::-1].copy()))):
+        first = evaluate(f, p, xs)
+        assert (evaluate(f, p, xs).view(np.int64) == first.view(np.int64)).all()
+        write()
+        got = evaluate(f, p, xs)
+        assert (got.view(np.int64) == evaluate(f, p, xs.copy()).view(np.int64)).all()
+        assert not (got == first).all()
+    # the same bytes read as another dtype are other points: here outside [0, 1]
+    evaluate(f, p, xs)
+    xs.dtype = np.int64
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        evaluate(f, p, xs)
+
+
+def test_a_grid_is_remembered_weakly_and_only_within_the_bound():
+    f = FunctionSpec.builtin("sin15")
+    p = StancuParams(1)
+    xs = uniform_grid(1001)
+    evaluate(f, p, xs)
+    assert operators._grid[0]() is xs
+    ref = operators._grid[0]
+    del xs
+    assert ref() is None  # the memo does not keep the caller's array alive
+    big = uniform_grid(50001)  # its bytes and u rows alone need 3 * 400 KB
+    evaluate(f, p, big)
+    assert operators._grid[0]() is not big
+    assert 3 * big.nbytes > _BLOCK_BYTES
+    for points in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
+        evaluate(f, p, points)  # only float64 arrays are remembered
+        assert operators._grid[0]() is None
+
+
+def test_threads_alternating_two_grids_agree_bit_for_bit():
+    # two threads alternate two grids with a short switch interval, so each
+    # finds the memo of the other's grid or its own, swapped at any moment
+    f = FunctionSpec.builtin("sin15")
+    ps = (StancuParams(100, 20.0, 30.0), StancuParams(100))
+    grids = (uniform_grid(1001), np.random.default_rng(1).permutation(uniform_grid(999)))
+    want = [evaluate(f, ps, xs.copy()).view(np.int64) for xs in grids]
+    start = threading.Barrier(2, timeout=60)
+    results = [[], []]
+
+    def work(j, out):
+        start.wait()
+        for i in range(40):
+            xs = grids[(i + j) % 2]
+            out.append(((i + j) % 2, evaluate(f, ps, xs).view(np.int64)))
+
+    threads = [threading.Thread(target=work, args=(j, out)) for j, out in enumerate(results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in results] == [40, 40]
+    assert all((got == want[g]).all() for out in results for g, got in out)
+
+
 def test_curve_validation():
     f = FunctionSpec.builtin("e0")
     with pytest.raises(ValueError):
