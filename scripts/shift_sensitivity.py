@@ -17,6 +17,7 @@ Usage: python scripts/shift_sensitivity.py [--function sin15] [--n 100]
 """
 
 import argparse
+import sys
 
 from stancu_lab import (
     BUILTIN_FUNCTIONS,
@@ -29,6 +30,7 @@ from stancu_lab import (
     sup_error_and_distance,
     theorem4_experiment,
 )
+from stancu_lab.cli import _to_devnull
 
 PAIRS = [(0.0, 0.0), (4.7, 10.0), (20.0, 30.0), (17.0, 100.0), (47.0, 100.0),
          (77.0, 100.0), (470.0, 1000.0)]
@@ -67,8 +69,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         print_tables(args.function, args.n)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except ValueError as exc:  # a degree the operators reject: exit 2, as stancu-lab does
         ap.error(str(exc))
+    except OSError as exc:  # a reader that left: exit 2 without a traceback, as stancu-lab does
+        _to_devnull(sys.stdout)  # where what the failed write left buffered flushes
+        try:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr shares the closed pipe
+            _to_devnull(sys.stderr)
+        return 2
     return 0
 
 

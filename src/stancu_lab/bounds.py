@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .nodes import CheckReport, decide, same_ratio
-from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
+from .operators import FunctionSpec, StancuParams, _shared_grid, evaluate, uniform_grid
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -69,10 +69,6 @@ class BoundConfig:
 
 
 DEFAULT_CONFIG = BoundConfig()
-
-# The sup grid, one read-only array, so ``evaluate`` prepares it once for every call
-_SUP_GRID = uniform_grid(DEFAULT_CONFIG.sup_grid_size)
-_SUP_GRID.setflags(write=False)
 
 
 @lru_cache(maxsize=16)
@@ -136,6 +132,11 @@ def grid_slack(f: FunctionSpec) -> float:
     return modulus_of_continuity(f, DEFAULT_CONFIG.mod_step)
 
 
+def _on_sup_grid(f: FunctionSpec, p) -> np.ndarray:
+    """``evaluate`` on the one shared sup grid, whose layout and basis rows it keeps."""
+    return evaluate(f, p, _shared_grid(DEFAULT_CONFIG.sup_grid_size))
+
+
 def _max_error(f: FunctionSpec, values: np.ndarray) -> float:
     """Grid maximum of |values - f| on the sup grid."""
     return float(np.abs(values - _samples(f, DEFAULT_CONFIG.sup_grid_size)).max())
@@ -143,7 +144,7 @@ def _max_error(f: FunctionSpec, values: np.ndarray) -> float:
 
 def sup_error(f: FunctionSpec, p: StancuParams) -> float:
     """Grid maximum of |operator value - f|, the uniform-norm proxy."""
-    return _max_error(f, evaluate(f, p, _SUP_GRID))
+    return _max_error(f, _on_sup_grid(f, p))
 
 
 def operator_distance(f: FunctionSpec, p: StancuParams) -> float:
@@ -162,7 +163,7 @@ def sup_error_and_distance(f: FunctionSpec, p: StancuParams) -> tuple[float, flo
     single batched ``evaluate`` yields both grid maxima, each
     bit-identical to its own function.
     """
-    shifted, plain = evaluate(f, (p, _plain(p.n, f)), _SUP_GRID).T
+    shifted, plain = _on_sup_grid(f, (p, _plain(p.n, f))).T
     return _max_error(f, shifted), float(np.abs(shifted - plain).max())
 
 
@@ -227,7 +228,7 @@ def theorem4_experiment(f: FunctionSpec, n: int, fam: RatioFamily,
     f_at_m = float(f(m))
     windows = (DEFAULT_CONFIG.mod_step, *(2.0 * n / (n + b) for _, b in levels))
     slack, *omegas = _moduli(_samples(f, DEFAULT_CONFIG.mod_grid_size), windows)
-    d = np.abs(evaluate(f, ps, _SUP_GRID) - f_at_m).max(axis=0)
+    d = np.abs(_on_sup_grid(f, ps) - f_at_m).max(axis=0)
     bounds = np.array([omega + slack for omega in omegas])
     within = d <= bounds + NOISE_FLOOR
     final = float(d[-1])

@@ -22,7 +22,7 @@ import orjson
 
 from . import svg
 from .nodes import NODE_HEADER, node_table
-from .operators import FunctionSpec, StancuParams, evaluate, uniform_grid
+from .operators import FunctionSpec, StancuParams, _shared_grid, evaluate
 
 __all__ = ["FIGURES", "FigureJob", "build_figure"]
 
@@ -158,7 +158,7 @@ def build_figure(job: FigureJob) -> tuple[str, str]:
     """Return (csv_text, svg_text) for a figure job."""
     if job.kind == "curve":
         ps = (StancuParams(job.n),) + tuple(StancuParams(job.n, a, b) for a, b in job.pairs)
-        cols = curve_table(FunctionSpec.builtin(_FUNCTION), ps, uniform_grid(job.grid_size))
+        cols = curve_table(FunctionSpec.builtin(_FUNCTION), ps, _shared_grid(job.grid_size))
         return _curve_csv(job, cols), _curve_svg(job, cols)
     blocks = [node_table(StancuParams(job.n, a, b)) for a, b in job.pairs]
     return _nodes_csv(job, blocks), _nodes_svg(job, blocks)

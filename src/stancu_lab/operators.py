@@ -28,17 +28,16 @@ the same operations in the same order as two ufunc accumulates along k.
 A grid is cut by ``np.searchsorted`` at its first x > 0, x > 1/2 and
 x = 1, so its endpoints and halves are slices; points out of order are
 sorted for that (stably) and their results put back once at the end.
-That layout is remembered for the last grid array and reused while the
-caller passes the same array with the same bytes (``_layout``). It
-steps its non-empty halves as the rows of one stream (``_stream``): the
+The grid's non-empty halves are one stream's rows (``_stream``): the
 basis is updated in place one step at a time, and a block of up to 16
 steps ends with two ufunc calls, one forming its terms and one adding
 them to the running sum in ascending k, the same roundings in the same
 order. A block holds at most 17 sum rows: a ufunc accumulate along all
-of k (column by column) was 5-10x slower. A sweep over the shifts at one
-degree and grid repeats one stream, so from its second sight its basis
-rows, keyed by its exact u rows, are kept read-only (at most 1 MiB a
-stream and 2 MiB in all) and read back instead of stepped (``_stream``).
+of k (column by column) was 5-10x slower. The layout of the last grid
+array is remembered while the caller passes that array unchanged
+(``_layout``); a sweep over the shifts at one degree repeats its stream,
+so the layout keeps the basis rows from the degree's second sight (at
+most 1 MiB a degree, 2 MiB a grid), read back instead of stepped (``_keep``).
 Both read a cached ratio table per degree and the node values each
 StancuParams keeps: a FunctionSpec is sampled unchecked (the nodes lie
 in [0, 1]) at its node table, and the operator keeps those samples for
@@ -49,9 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -226,6 +223,14 @@ def uniform_grid(size: int, start: int = 0, stop: int | None = None) -> np.ndarr
     return xs
 
 
+@lru_cache(maxsize=4)
+def _shared_grid(size: int) -> np.ndarray:
+    """``uniform_grid(size)``, one read-only array per size: its callers share its layout."""
+    grid = uniform_grid(size)
+    grid.setflags(write=False)
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
     """Function values over a uniform grid on [0, 1], endpoints included."""
@@ -261,51 +266,28 @@ def _ratios(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
     return ratios, tuple(zip(ratios.tolist(), [ratios[k, ...] for k in range(n)]))
 
 
-_KEEP = 16  # keys the store records, and streams whose rows it keeps, at most
-_kept: OrderedDict = OrderedDict()  # key -> read-only basis rows, least recently used first
-_seen: OrderedDict = OrderedDict()  # hashes of the keys seen once, oldest first
-_kept_lock = threading.Lock()
-
-
-def _kept_rows(n: int, u: np.ndarray, ub: bytes) -> tuple[np.ndarray | None, tuple | None]:
-    """The kept basis rows of the stream u (whose bytes are ub) at degree n, or
-    None; and, at the second sight of its key, the key for ``_keep`` (see ``_stream``)."""
+def _keep(kept: dict, n: int, u: np.ndarray) -> None:
+    """After a stream of u at degree n that read no kept rows: record n in kept, the
+    degree -> rows dict of u's grid layout, at its first sight; at its second, step
+    its whole basis as ``_stream`` does (the seed an array power, then (b r) c_k) and
+    keep it. Only streams of more than one element whose n+1 rows fit in _BLOCK_BYTES
+    are recorded, and only while all recorded degrees' rows fit in 2 _BLOCK_BYTES,
+    tested after each write so that threads recording at once cannot both pass."""
     if u.size < 2 or (n + 1) * u.nbytes > _BLOCK_BYTES:
-        return None, None
-    key = (n, u.shape, ub)
-    with _kept_lock:
-        rows = _kept.get(key)
-        if rows is not None:
-            _kept.move_to_end(key)
-            return rows, None
-        seen = hash(key)  # a clash only keeps a stream one sight early
-        if _seen.pop(seen, False):
-            return None, key
-        _seen[seen] = True
-        if len(_seen) > _KEEP:
-            _seen.popitem(last=False)
-    return None, None
-
-
-def _keep(key: tuple, u: np.ndarray) -> None:
-    """Step the whole basis of the stream u as ``_stream`` does, publish it
-    read-only under key, and drop the least recently used rows while the
-    store holds more than ``_KEEP`` streams or 2 ``_BLOCK_BYTES``, keys included."""
-    n = key[0]
-    w = 1.0 - u
-    rows = np.empty((n + 1,) + u.shape)
-    rows[0] = w**n
-    r = u / w
-    for k, (_, cv) in enumerate(_ratios(n)[1], 1):
-        np.multiply(rows[k - 1], r, rows[k])
-        np.multiply(rows[k], cv, rows[k])
-    rows.setflags(write=False)  # published whole, and never written again
-    with _kept_lock:
-        _kept[key] = rows
-        while len(_kept) > _KEEP or (
-            sum(v.nbytes + len(k[2]) for k, v in _kept.items()) > 2 * _BLOCK_BYTES
-        ):
-            _kept.popitem(last=False)
+        return
+    rows = None
+    if n in kept:
+        w = 1.0 - u
+        rows = np.empty((n + 1,) + u.shape)
+        rows[0] = w**n
+        r = u / w
+        for k, (_, cv) in enumerate(_ratios(n)[1], 1):
+            np.multiply(rows[k - 1], r, rows[k])
+            np.multiply(rows[k], cv, rows[k])
+        rows.setflags(write=False)  # never written again: threads read it without the GIL
+    kept[n] = rows
+    if (len(kept) + sum(kept)) * u.nbytes > 2 * _BLOCK_BYTES:
+        kept.pop(n, None)
 
 
 def _point(fn: np.ndarray, u: float) -> np.ndarray:
@@ -361,18 +343,9 @@ def _stream(fn: np.ndarray, u: np.ndarray, kept: np.ndarray | None = None) -> np
     returning zeros.
 
     ``kept`` is the whole basis of this stream, rows 0..n of shape
-    (n+1, R, W), or None. ``evaluate`` looks it up by the key (n, u.shape,
-    u.tobytes()), so equal keys mean equal u rows, bit for bit
-    (``_kept_rows``). A key is recorded at its first sight; after its
-    second stream has returned and freed its block buffers, ``_keep`` steps
-    the whole basis by this recurrence (the seed an array power, then
-    (b r) c_k) and publishes it read-only, never to be written again, so
-    threads may read it while ufuncs release the GIL. Only streams of more
-    than one element with (n + 1) u.nbytes <= ``_BLOCK_BYTES`` are kept, and
-    the least recently used go while the store holds more than ``_KEEP``
-    streams or 2 ``_BLOCK_BYTES``. With kept rows a block reads rows
-    k+1..k+j of ``kept`` where it would step them into its buffer; the
-    terms, the sum and the stop are the same calls on the same bits.
+    (n+1, R, W), kept by the grid's layout (``_keep``), or None. With it a
+    block reads rows k+1..k+j of ``kept`` where it would step them into its
+    buffer; the terms, the sum and the stop are the same calls on the same bits.
     """
     n = fn.shape[0] - 1
     u = u[:, None] if fn.ndim == 3 else u
@@ -464,10 +437,10 @@ _grid: tuple = (lambda: None, b"", None)  # the last grid remembered: weak ref, 
 def _layout(xs) -> float | tuple:
     """xs as a float where it is one point, else its grid layout for ``evaluate``:
     size, stable sort order (None if sorted), cuts a, h, e, each stream row's
-    slice and width, the read-only u rows and their bytes (the kept-rows key,
-    built once, so its hash is cached). The last float64 array's layout is
-    remembered, weakly and within ``_BLOCK_BYTES``, as one tuple, and reused
-    while the caller passes that same array (``is``) with the same bytes."""
+    slice and width, the read-only u rows and a dict, degree -> kept basis rows
+    of those u rows (``_keep``). The last float64 array's layout is remembered,
+    weakly and within ``_BLOCK_BYTES``, as one tuple, and reused while the caller
+    passes that same array (``is``) with the same bytes; its rows go with it."""
     global _grid
     grid = _grid  # read once: another thread may swap it
     if type(xs) is np.ndarray and xs is grid[0]() and xs.dtype == _F64 and xs.tobytes() == grid[1]:
@@ -488,8 +461,8 @@ def _layout(xs) -> float | tuple:
     for j, (_, u) in enumerate(rows):
         us[j, : u.size], us[j, u.size :] = u, u[-1]
     us.setflags(write=False)
-    layout = pts.size, order, (a, h, e), [(cut, u.size) for cut, u in rows], us, us.tobytes()
-    held = pts.nbytes + 2 * us.nbytes + (0 if order is None else order.nbytes)
+    layout = pts.size, order, (a, h, e), [(cut, u.size) for cut, u in rows], us, {}
+    held = pts.nbytes + us.nbytes + (0 if order is None else order.nbytes)
     if type(xs) is np.ndarray and xs.dtype == _F64 and held <= _BLOCK_BYTES:
         _grid = (weakref.ref(xs), pts.tobytes(), layout)
     return layout
@@ -509,7 +482,8 @@ def evaluate(f, p, xs) -> np.ndarray:
     exactly (the recurrence would hit 0**0 there). Points x > 1/2 are
     reflected to 1 - x with the node values reversed. Unsorted xs are
     sorted for the cuts at 0, 1/2 and 1, and their results put back. Passing
-    one float64 array again, unchanged, reuses its checks, sort and cuts.
+    one float64 array again, unchanged, reuses its checks, sort and cuts, and
+    from a degree's second call on that array, its basis rows (``_keep``).
     """
     if not isinstance(xs, float):  # np.float64 is a float too
         xs = _layout(xs)  # a float for one point
@@ -528,7 +502,7 @@ def evaluate(f, p, xs) -> np.ndarray:
         if xs in (0.0, 1.0):
             return (fn[:1] if xs == 0.0 else fn[-1:]).copy()
         return _point(fn, xs) if xs <= 0.5 else _point(fn[::-1], 1.0 - xs)
-    size, order, (a, h, e), rows, us, ub = xs  # the grid's layout
+    size, order, (a, h, e), rows, us, kept = xs  # the grid's layout
     # The samples go straight into the stream's (n+1, R[, C]) node array: its
     # row 0 in node order, read in reverse where row 0 is the right half.
     shape = (len(cols[0]), len(cols)) if fn is None else fn.shape  # (n+1[, C])
@@ -545,11 +519,11 @@ def evaluate(f, p, xs) -> np.ndarray:
     out = np.empty((size,) + shape[1:])
     out[:a], out[e:] = fn[0], fn[-1]
     if rows:
-        kept, key = _kept_rows(gs.shape[0] - 1, us, ub)
-        for (cut, width), s in zip(rows, _stream(gs, us, kept)):
+        basis = kept.get(len(gs) - 1)
+        for (cut, width), s in zip(rows, _stream(gs, us, basis)):
             out[cut] = s[..., :width].T
-        if key is not None:  # second sight: kept once the stream's buffers are freed
-            _keep(key, us)
+        if basis is None:  # recorded, or kept once the stream's buffers are freed
+            _keep(kept, len(gs) - 1, us)
     if order is not None:  # back to the caller's order
         out[order] = out.copy()
     return out

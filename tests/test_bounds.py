@@ -44,9 +44,9 @@ from stancu_lab import (
     theorem4_experiment,
     uniform_grid,
 )
-from stancu_lab import bounds
 from stancu_lab.bounds import C1, _moduli, _samples
 from stancu_lab.nodes import same_ratio
+from stancu_lab.operators import _shared_grid
 
 OMEGA_SIN15_001 = 0.14985941454144064
 T4_LEVEL_DISTANCES = (
@@ -230,9 +230,11 @@ def test_repeated_scans_sample_the_plain_operator_once(monkeypatch):
 
 
 def test_sup_grid_is_read_only_and_bounds_match_a_fresh_grid():
-    # the one module sup grid is uniform_grid(1001), bit for bit and read-only,
-    # and every measurement on it equals evaluate on a fresh copy of that grid
-    grid = bounds._SUP_GRID
+    # the shared sup grid is uniform_grid(1001), bit for bit and read-only, one
+    # array for every call, and every measurement on it equals evaluate on a
+    # fresh copy of that grid
+    grid = _shared_grid(DEFAULT_CONFIG.sup_grid_size)
+    assert _shared_grid(DEFAULT_CONFIG.sup_grid_size) is grid
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[1] = 0.5

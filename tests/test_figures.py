@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stancu_lab import (FunctionSpec, RatioFamily, StancuParams, apply_operator_curve,
+from stancu_lab import (FunctionSpec, RatioFamily, StancuParams, apply_operator_curve, figures,
+                        operators,
                         corollary2_bound, evaluate, sup_error_and_distance, svg,
                         theorem4_experiment)
 from stancu_lab.cli import main
-from stancu_lab.figures import FIGURES, csv_rows, with_overrides
+from stancu_lab.figures import FIGURES, build_figure, csv_rows, with_overrides
 from stancu_lab.nodes import node_table
 
 
@@ -101,6 +102,35 @@ def test_node_figure_cells_and_markers(capsys, tmp_path, fid):
                      [plain, shifted, shifted - plain, np.abs(plain - m), np.abs(shifted - m)])
     cx = re.findall(r'<circle cx="([^"]*)"', svg_text)
     assert cx == [svg._num(svg._fx(x)) for fam in families for x in fam.tolist()]
+
+
+def test_curve_figures_in_one_process_share_one_read_only_grid(monkeypatch):
+    # f6, f7, f8 and f10 (n = 100, grid 1001) drawn in one process, as
+    # reproduce_figures.py draws them: grid 1001 is prepared once, f6 records
+    # n = 100, f7 keeps its rows and f8 and f10 read them; every figure's bytes
+    # equal a build over a fresh, writable grid, which keeps no rows
+    prepared = []
+    check = operators._as_unit_interval
+
+    def recorded(x, what="x"):
+        if what == "x":  # evaluate's grid check, not the sampling of f
+            prepared.append(np.size(x))
+        return check(x, what)
+
+    monkeypatch.setattr(operators, "_as_unit_interval", recorded)
+    operators._grid = (lambda: None, b"", None)
+    jobs = [FIGURES[fid] for fid in ("f6", "f7", "f8", "f10")]
+    shared = [[text.encode() for text in build_figure(job)] for job in jobs]
+    assert prepared == [1001]
+    grid = operators._shared_grid(1001)
+    assert operators._grid[0]() is grid and list(operators._grid[2][-1]) == [100]
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[1] = 0.5
+    monkeypatch.setattr(figures, "_shared_grid", operators.uniform_grid)
+    for job, want in zip(jobs, shared):
+        assert [text.encode() for text in build_figure(job)] == want
+    assert prepared == [1001] * 5
 
 
 @pytest.mark.parametrize("fid,argv", [

@@ -758,13 +758,14 @@ def test_block_buffers_stay_within_their_budget(monkeypatch):
         assert peak < buffers + 3 * out.nbytes + 10 * xs.nbytes
 
 
-def clear_kept_rows():
-    operators._kept.clear()
-    operators._seen.clear()
+def forget_grid():
+    operators._grid = (lambda: None, b"", None)
 
 
-def kept_bytes():
-    return sum(rows.nbytes + len(key[2]) for key, rows in operators._kept.items())
+def kept_rows():
+    """The remembered grid's degree -> kept basis rows, degrees seen once left out."""
+    layout = operators._grid[2]
+    return {} if layout is None else {n: r for n, r in layout[-1].items() if r is not None}
 
 
 def spy_on_kept(monkeypatch):
@@ -780,13 +781,29 @@ def spy_on_kept(monkeypatch):
     return kept
 
 
+def spy_on_stepping(monkeypatch):
+    """A list that records each degree whose whole basis ``_keep`` steps."""
+    stepped = []
+    keep = operators._keep
+
+    def recorded(kept, n, u):
+        before = kept.get(n)
+        keep(kept, n, u)
+        if before is None and kept.get(n) is not None:
+            stepped.append(n)
+
+    monkeypatch.setattr(operators, "_keep", recorded)
+    return stepped
+
+
 @pytest.mark.parametrize("pairs", [BATCH_PAIRS[1:2], BATCH_PAIRS[:2], T4_LEVELS],
                          ids=["one", "two", "five"])
 @pytest.mark.parametrize("n", [17, 100])
 def test_kept_rows_are_bit_identical_to_full_recurrence(monkeypatch, n, pairs):
-    # each point set from a cleared store: the first stream of its key only
-    # records it, the second keeps its basis after it runs, the third reads
-    # the kept rows; all three must equal the full n-step sum bit for bit
+    # each point set passed three times as one array from a forgotten grid: the
+    # first stream of a degree only records it, the second keeps its basis
+    # after it runs, the third reads the kept rows; all three must equal the
+    # full n-step sum bit for bit
     ps = tuple(StancuParams(n, a, b) for a, b in pairs)
     p = ps if len(ps) > 1 else ps[0]
     kept = spy_on_kept(monkeypatch)
@@ -795,59 +812,62 @@ def test_kept_rows_are_bit_identical_to_full_recurrence(monkeypatch, n, pairs):
         want = full_recurrence(np.stack(fns, axis=1), np.reshape(xs, -1)).view(np.int64)
         for i, f in enumerate(EXIT_TABLES):
             cols = want[:, i * len(ps):(i + 1) * len(ps)].reshape(-1)
-            clear_kept_rows()
+            forget_grid()
             kept.clear()
             for sight in ("first", "admitting", "kept"):
                 got = evaluate(f, p, xs).view(np.int64).reshape(-1)
                 assert (got == cols).all(), (sight, i)
             assert kept in ([], [False, False, False], [False, False, True])
-    # the grids of 1001 points (sorted and not) read kept rows at both degrees
-    clear_kept_rows()
+    # the grids of 1001 points (sorted and not) read kept rows at both degrees;
+    # the reversed grid is another array, so it keeps its own rows afresh
     kept.clear()
     for xs in EXIT_POINTS[0], uniform_grid(1001)[::-1]:
         for _ in range(3):
             evaluate(EXIT_TABLES[0], p, xs)
-    assert kept == [False, False, True, True, True, True]
+    assert kept == [False, False, True, False, False, True]
 
 
 def test_kept_rows_are_read_only():
-    clear_kept_rows()
+    forget_grid()
     p, xs = StancuParams(100, 20.0, 30.0), uniform_grid(1001)
     for _ in range(2):
         evaluate(FunctionSpec.builtin("sin15"), p, xs)
-    (key, rows), = operators._kept.items()
-    assert key[:2] == (100, (2, 500)) and rows.shape == (101, 2, 500)
+    (n, rows), = kept_rows().items()
+    assert n == 100 and rows.shape == (101, 2, 500)
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[1, 0, 0] = 0.0
 
 
 def test_kept_rows_stay_within_their_bound(monkeypatch):
-    # a sweep over degrees and grids, each stream seen three times: the store
-    # never holds more than twice the block budget or _KEEP streams, and a
-    # stream whose n+1 rows exceed the budget is never kept
+    # a sweep over grids and degrees, each stream seen three times on one
+    # array: a grid never keeps more than twice the block budget, a stream
+    # whose n+1 rows exceed the budget is never kept, and neither is a degree
+    # whose rows would pass the grid's bound beside the degrees recorded
     kept = spy_on_kept(monkeypatch)
-    clear_kept_rows()
     f = FunctionSpec.builtin("sin15")
     held = set()
-    for n in (1, 2, 5, 17, 50, 100, 250, 100, 50):
-        for size in (3, 11, 101, 1001, 2001, 4097):
+    for size in (3, 11, 101, 1001, 2001, 4097):
+        xs = uniform_grid(size)
+        for n in (1, 2, 5, 17, 50, 100, 120, 250, 100, 50):
             ps = (StancuParams(n, 20.0, 30.0), StancuParams(n))
             for _ in range(3):
-                evaluate(f, ps, uniform_grid(size))
-                assert kept_bytes() <= 2 * _BLOCK_BYTES
-                assert len(operators._kept) <= operators._KEEP
-                held |= {key[:2] for key in operators._kept}
-                assert (250, (2, 500)) not in held
+                evaluate(f, ps, xs)
+                rows = kept_rows()
+                assert sum(r.nbytes for r in rows.values()) <= 2 * _BLOCK_BYTES
+                held |= {(m, r.shape[1:]) for m, r in rows.items()}
     assert {(50, (2, 500)), (100, (2, 500)), (17, (2, 1000))} <= held
+    assert (250, (2, 500)) not in held  # 2 MB of rows on its own
+    assert (120, (2, 500)) not in held  # 968 KB beside the 1.45 MB already recorded
     assert kept.count(True) >= 20
 
 
 def test_threads_reading_one_key_agree_bit_for_bit():
-    # four threads (more than the cores CI has) on a cold store, each
-    # evaluating one key ten times with a short switch interval, so streams
-    # record the key, keep it and read it while the others step theirs
-    clear_kept_rows()
+    # four threads (more than the cores CI has) on a forgotten grid, each
+    # evaluating one degree on one array ten times with a short switch
+    # interval, so streams record it, keep it and read it while the others
+    # step theirs
+    forget_grid()
     ps = tuple(StancuParams(100, a, b) for a, b in T4_LEVELS)
     xs = uniform_grid(1001)
     f = FunctionSpec.builtin("sin15")
@@ -875,11 +895,26 @@ def test_threads_reading_one_key_agree_bit_for_bit():
     want = full_recurrence(np.stack([f(q.node_values()) for q in ps], axis=1), xs)
     assert [len(out) for out in results] == [10] * 4
     assert all((got == want.view(np.int64)).all() for out in results for got in out)
-    assert len(operators._kept) == 1
+    assert list(kept_rows()) == [100]
 
 
-def forget_grid():
-    operators._grid = (lambda: None, b"", None)
+def test_a_rotation_of_grids_steps_no_whole_basis(monkeypatch):
+    # three grids with 808 KB of rows each at n = 100, cycled four times: each
+    # replaces the last remembered grid, so no degree is seen twice on one
+    # grid and no whole basis is stepped; every result stays bit-identical
+    stepped = spy_on_stepping(monkeypatch)
+    forget_grid()
+    f = FunctionSpec.builtin("sin15")
+    p = StancuParams(100, 20.0, 30.0)
+    grids = [uniform_grid(size) for size in (1001, 999, 1003)]
+    wants = [full_recurrence(f(p.node_values())[:, None], xs).view(np.int64) for xs in grids]
+    for _ in range(4):
+        for xs, want in zip(grids, wants):
+            assert (evaluate(f, p, xs).view(np.int64).reshape(want.shape) == want).all()
+    assert stepped == []
+    for _ in range(2):  # one grid passed twice does step its basis
+        evaluate(f, p, grids[0])
+    assert stepped == [100]
 
 
 def count_layouts(monkeypatch):
@@ -950,10 +985,14 @@ def test_a_grid_is_remembered_weakly_and_only_within_the_bound():
     ref = operators._grid[0]
     del xs
     assert ref() is None  # the memo does not keep the caller's array alive
-    big = uniform_grid(50001)  # its bytes and u rows alone need 3 * 400 KB
+    fits = uniform_grid(50001)  # its bytes and u rows need 2 * 400 KB
+    evaluate(f, p, fits)
+    assert operators._grid[0]() is fits
+    del fits
+    big = uniform_grid(70001)  # its bytes and u rows need 2 * 560 KB
     evaluate(f, p, big)
     assert operators._grid[0]() is not big
-    assert 3 * big.nbytes > _BLOCK_BYTES
+    assert 2 * big.nbytes > _BLOCK_BYTES
     for points in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
         evaluate(f, p, points)  # only float64 arrays are remembered
         assert operators._grid[0]() is None
